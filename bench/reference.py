@@ -26,7 +26,11 @@ from fractions import Fraction
 import mpmath
 
 REF_DPS = 50  # digits for every mpmath reference (>= 40 asked of the reference)
-FLOAT_MASS_TOL = 1e-12  # absolute, per mass
+# absolute, per mass, times max(1, the largest size of chi's terms in the
+# kernel): the moment solve loses digits as the support spreads.  Over
+# 20 000 uniform y in [-10, 10] at (m, q) = (4, 16) the worst error was
+# 2.7e-15 of that size, at (4, 4) 9.9e-16.
+FLOAT_MASS_TOL = 1e-13
 FLOAT_VALUE_TOL = 1e-12  # relative to the magnitude of chi's two terms
 EXACT_TOL = mpmath.mpf(10) ** -40  # exact outputs evaluated at REF_DPS digits
 LATTICE_TOL = 1e-9  # |k - round(k)| for a state's lattice index
@@ -146,7 +150,8 @@ def check_kernel_json(text: str, m: int, y, q) -> None:
     """Check one `ConditionalDistribution.to_json()` output.
 
     Float kernels: support and masses against the Christoffel reference
-    within FLOAT_VALUE_TOL / FLOAT_MASS_TOL.  Exact kernels: the same
+    within FLOAT_VALUE_TOL times the size of chi_k's terms and FLOAT_MASS_TOL
+    times the largest such size in the kernel.  Exact kernels: the same
     reference to EXACT_TOL after evaluating a + b sqrt(D) in mpmath, plus
     sum lambda = 1, sum lambda chi = rho y identically and every mass > 0.
     """
@@ -159,11 +164,12 @@ def check_kernel_json(text: str, m: int, y, q) -> None:
     if [a["k"] for a in atoms] != [k for k, *_ in ref]:
         raise CheckFailed(f"kernel(m={m}, y={y}, q={q}) indices {[a['k'] for a in atoms]}")
     if not exact:
+        mass_tol = FLOAT_MASS_TOL * max(1, max(scale for *_, scale in ref))
         for atom, (k, x, lam, scale) in zip(atoms, ref):
             value_err = abs(atom["value"] - x)
             if value_err > FLOAT_VALUE_TOL * max(1, scale):
                 raise CheckFailed(f"kernel(m={m}, y={y!r}, q={q}) chi_{k} = {atom['value']!r}, reference {x}")
-            if abs(atom["mass"] - lam) > FLOAT_MASS_TOL:
+            if abs(atom["mass"] - lam) > mass_tol:
                 raise CheckFailed(f"kernel(m={m}, y={y!r}, q={q}) mass_{k} = {atom['mass']!r}, reference {lam}")
         return
 

@@ -8,8 +8,9 @@ to this one, never from an installed copy.
 --trace 0 runs whole rounds of the workload until S seconds have passed,
 timing each round's operations apart from their checks, and between rounds
 sets up the CLI in fresh interpreters.  It prints the end-to-end metrics:
-setup_s (median set-up), peak_rss_mb, and ops_per_s, the median over
-rounds of the round's units of work per second.
+setup_s (median set-up), peak_rss_mb, and ops_per_ref_s, the median over
+rounds of the round's units of work per reference second (see
+calibration_pass).
 
 --trace 1 runs a fixed number of rounds untraced and then under the tracer,
 in pairs on the same inputs until S seconds have passed, checks that both
@@ -18,7 +19,8 @@ with the tracer's overhead.  The first traced pass's per-function table
 goes to bench/out/.
 
 Every output is checked outside the timed regions (see reference.py); a
-failed check makes "correct" false.  Operations that raise count as failed.
+failed check makes "correct" false.  Operations that raise count as failed;
+"attempted" and "failed" describe one round (see Run).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from reference import CheckFailed
@@ -43,46 +46,18 @@ ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
 SETUP_REPEATS = 9
 SETUP_TIMEOUT_S = 60
-
-# per-layer metrics printed by --trace 1: <traced name>.<field>
-LAYER_METRICS = [
-    "markov.build_distribution.calls",
-    "markov.build_distribution.self_ms",
-    "markov.build_distribution.distinct_ratio",
-    "markov.sample_step.calls",
-    "markov.sample_step.self_ms",
-    "markov.simulate.self_ms",
-    "markov.compose.calls",
-    "markov.compose.self_ms",
-    "markov.verify_chapman_kolmogorov.self_ms",
-    "markov.serialize.self_ms",
-    "exactnum.linear_solve.calls",
-    "exactnum.linear_solve.self_ms",
-    "exactnum.QuadraticNumber.created",
-    "exactnum.quad_sqrt.calls",
-    "exactnum.quad_sqrt.self_ms",
-    "spectra.chi.calls",
-    "spectra.chi.self_ms",
-    "spectra.verify_factorization.self_ms",
-    "spectra.verify_addition_formula.self_ms",
-    "spectra.verify_chi_properties.self_ms",
-    "spectra.hermite_limit_identity.self_ms",
-    "spectra.eval_sum_form.self_ms",
-    "spectra.eval_product_form.self_ms",
-    "qcore.eval_H_seq.calls",
-    "qcore.eval_H_seq.self_ms",
-    "qcore.eval_p_seq.calls",
-    "qcore.eval_p_seq.self_ms",
-    "qcore.q_binomial.calls",
-    "qcore.q_binomial.self_ms",
-    "qcore.eval_p_expansion.self_ms",
-    "qcore.q_bracket.calls",
-]
-UNITS = {"calls": "count", "created": "count", "self_ms": "ms", "distinct_ratio": "ratio"}
+# A reference second is the time of this many calibration passes.
+CALIBRATION_PASSES_PER_REF_S = 150
 
 
 class Run:
-    """Tallies of one run: operations attempted and failed, failed checks."""
+    """Tallies of one run: operations per round, failures, failed checks.
+
+    Every round holds the same operations, the known-failing ones included,
+    so attempted and failed are reported per round: attempted is a round's
+    number of operations and failed the most of them that raised in any
+    round of the run.  Both are then the same in every run, however many
+    rounds fit in it."""
 
     def __init__(self, workload):
         self.workload = workload
@@ -104,25 +79,26 @@ class Run:
         return outputs, seconds, units
 
     def judge(self, index: int, ops, outputs) -> None:
-        """Count and check a round's outputs, then run the round-level checks."""
-        self.tally(ops, outputs)
+        """Count and check a round's outputs, run the round's known-failing
+        operations outside every timer, then run the round-level checks."""
+        failing = list(self.workload.failing)
+        failing_outputs, _, _ = self.execute(failing)
+        failed = self.tally(ops, outputs) + self.tally(failing, failing_outputs, expected=True)
+        self.attempted = len(ops) + len(failing)
+        self.failed = max(self.failed, failed)
         self.guard(self.workload.after_round, index, ops, outputs)
 
-    def run_failing(self) -> None:
-        """The workload's known-failing operations, outside every timer."""
-        ops = list(self.workload.failing)
-        outputs, _, _ = self.execute(ops)
-        self.tally(ops, outputs, expected=True)
-
-    def tally(self, ops, outputs, expected: bool = False) -> None:
+    def tally(self, ops, outputs, expected: bool = False) -> int:
+        """Check each output that is not an exception; return how many are."""
+        failed = 0
         for op, out in zip(ops, outputs):
-            self.attempted += 1
             if isinstance(out, Exception):
-                self.failed += 1
+                failed += 1
                 if not expected:
                     print(f"{self.workload.name}: operation raised {type(out).__name__}: {out}", file=sys.stderr)
             else:
                 self.guard(op.check, out)
+        return failed
 
     def guard(self, check, *args) -> None:
         try:
@@ -142,6 +118,14 @@ class Run:
             "failed": self.failed,
             "metrics": metrics,
         }
+
+
+def layer_metrics() -> list[tuple[str, str]]:
+    """(name, unit) of each per-layer metric BENCHMARK.json declares: a
+    traced function's name and one of its fields (calls, created, self_ms,
+    distinct_ratio), or trace.overhead_ratio."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [(metric["name"], metric["unit"]) for metric in spec["per_layer"]]
 
 
 def setup_seconds(argv: list[str]) -> float:
@@ -170,22 +154,48 @@ def setup_seconds(argv: list[str]) -> float:
     return elapsed
 
 
+def calibration_pass() -> float:
+    """Seconds taken by a fixed piece of pure-Python work that runs no
+    qchain code: Fraction sums, float arithmetic, dict stores, str and sort.
+
+    The host's speed drifts by a quarter and more over minutes, and a
+    round's wall time drifts with it.  A pass timed just before and just
+    after each round measures the host's speed at that moment, and the
+    round's time divided by it does not drift: no change to qchain can
+    change a pass, so a slower program still reads slower."""
+    start = time.perf_counter()
+    total = Fraction(0)
+    for i in range(1, 400):
+        total += Fraction(i, i * i + 1)
+    x, table = 0.0, {}
+    for i in range(20000):
+        x += (i * 0.5) ** 0.5
+        table[i & 255] = x
+    text = sorted(str(v) for v in table.values())
+    seconds = time.perf_counter() - start
+    if total <= 0 or len(text) != 256:
+        raise AssertionError("calibration pass went wrong")
+    return seconds
+
+
 def timed_run(workload, seed: int, seconds: float) -> dict:
     """Whole rounds until `seconds` have passed.  The set-ups are spread
     evenly over the same window, so that a slow spell of the host, which
-    lasts seconds here, weighs on setup_s no more than on ops_per_s."""
+    lasts seconds here, weighs on setup_s no more than on the rate."""
     rng = random.Random(seed)
     run = Run(workload)
-    rates, setups = [], []
+    rates, wall_rates, setups = [], [], []
     started = time.perf_counter()
     index = 0
     while True:
         ops = workload.round(rng)
         gc.collect()
+        before = calibration_pass()
         outputs, elapsed, units = run.execute(ops)
-        rates.append(units / elapsed)
+        pass_s = (before + calibration_pass()) / 2
+        wall_rates.append(units / elapsed)
+        rates.append(units / elapsed * pass_s * CALIBRATION_PASSES_PER_REF_S)
         run.judge(index, ops, outputs)
-        run.run_failing()
         index += 1
         elapsed = time.perf_counter() - started
         if len(setups) < SETUP_REPEATS and elapsed >= len(setups) * seconds / SETUP_REPEATS:
@@ -195,15 +205,16 @@ def timed_run(workload, seed: int, seconds: float) -> dict:
     run.guard(workload.finish)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(
-        f"{workload.name}: {index} rounds; {workload.unit}s per second per round: min {min(rates):.6g}, "
-        f"median {statistics.median(rates):.6g}, max {max(rates):.6g}; setup_s {min(setups):.4g}..{max(setups):.4g}",
+        f"{workload.name}: {index} rounds of {run.attempted} operations; {workload.unit}s per round, "
+        f"per reference second: min {min(rates):.6g}, median {statistics.median(rates):.6g}, max {max(rates):.6g}; "
+        f"per wall second: median {statistics.median(wall_rates):.6g}; setup_s {min(setups):.4g}..{max(setups):.4g}",
         file=sys.stderr,
     )
     return run.result(
         {
             "setup_s": {"value": statistics.median(setups), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
-            "ops_per_s": {"value": statistics.median(rates), "unit": "1/s"},
+            "ops_per_ref_s": {"value": statistics.median(rates), "unit": "1/ref_s"},
         }
     )
 
@@ -238,24 +249,26 @@ def traced_run(workload, seed: int, seconds: float) -> dict:
         if len(tables) == 1:
             for index, (ops, outputs) in enumerate(zip(rounds, untraced)):
                 run.judge(index, ops, outputs)
-                run.run_failing()
             run.guard(workload.finish)
 
     out_dir = BENCH_DIR / "out"
     out_dir.mkdir(exist_ok=True)
     (out_dir / f"trace-{workload.name}-{seed}.json").write_text(json.dumps(tables[0], indent=1, sort_keys=True))
     metrics = {}
-    for metric in LAYER_METRICS:
+    for metric, unit in layer_metrics():
         name, field = metric.rsplit(".", 1)
         row = tables[0].get(name, {})
-        if field == "self_ms":
+        if metric == "trace.overhead_ratio":
+            value = statistics.median(ratios)
+        elif field == "self_ms":
             value = statistics.median(t.get(name, {}).get("self_ms", 0.0) for t in tables)
         elif field == "distinct_ratio":
             value = row["distinct"] / row["calls"] if row.get("calls") else 0.0
-        else:
+        elif field in ("calls", "created"):
             value = row.get("calls", 0)
-        metrics[metric] = {"value": value, "unit": UNITS[field]}
-    metrics["trace.overhead_ratio"] = {"value": statistics.median(ratios), "unit": "ratio"}
+        else:
+            raise ValueError(f"BENCHMARK.json names per-layer metric {metric!r}, which the tracer does not give")
+        metrics[metric] = {"value": value, "unit": unit}
     print(f"{workload.name}: {len(tables)} traced passes of {len(rounds)} rounds", file=sys.stderr)
     return run.result(metrics)
 

@@ -6,6 +6,7 @@ and the tracer's self-time arithmetic is right on a hand-built span tree.
 
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from reference import (  # noqa: E402
     check_report,
     parse_csv,
 )
+from run import Run, layer_metrics, traced_run  # noqa: E402
 from tracing import Tracer, covered_length, self_times  # noqa: E402
 from workloads import WORKLOADS, check_planted_inputs  # noqa: E402
 
@@ -87,6 +89,14 @@ def test_float_kernel_check_rejects_a_mass_nudged_by_1e_9():
         check_kernel_json(nudged(text, 1, "mass", lambda v: v + 1e-9), 4, 1.3, 4.0)
     with pytest.raises(CheckFailed):
         check_kernel_json(nudged(text, 2, "value", lambda v: v * (1 + 1e-9)), 4, 1.3, 4.0)
+
+
+def test_float_kernel_check_rejects_a_nudged_mass_where_the_support_spreads_most():
+    y = -9.97  # (m, q) = (4, 16) near |y| = 10: the loosest mass bound of kernels-float
+    text = markov.build_distribution(4, y, 16.0).to_json()
+    check_kernel_json(text, 4, y, 16.0)
+    with pytest.raises(CheckFailed):
+        check_kernel_json(nudged(text, 3, "mass", lambda v: v + 1e-9), 4, y, 16.0)
 
 
 def test_exact_kernel_check_rejects_a_mass_nudged_by_1e_9():
@@ -165,10 +175,34 @@ def test_planted_wrong_inputs_are_refused():
     check_planted_inputs()
 
 
+# -- the run -----------------------------------------------------------------
+
+
+def test_failed_operations_are_counted_per_round():
+    workload = WORKLOADS["kernels-float"]()
+    counts = []
+    for rounds in (1, 3):
+        run = Run(workload)
+        rng = random.Random(4)
+        for index in range(rounds):
+            ops = workload.round(rng)[:5]
+            outputs, _, _ = run.execute(ops)
+            run.judge(index, ops, outputs)
+        counts.append((run.attempted, run.failed, run.problems))
+    assert counts[0] == counts[1] == (5 + 2, 2, [])
+
+
+def test_a_traced_run_gives_every_declared_per_layer_metric():
+    workload = WORKLOADS["kernels-float"]()
+    workload.round = lambda rng, whole=workload.round: whole(rng)[:3]
+    result = traced_run(workload, seed=1, seconds=0.0)
+    assert result["correct"] and (result["attempted"], result["failed"]) == (3 + 2, 2)
+    assert [(name, m["unit"]) for name, m in result["metrics"].items()] == layer_metrics()
+    assert result["metrics"]["markov.build_distribution.calls"]["value"] == 3 * workload.traced_rounds
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_a_round_of_each_workload_passes_its_checks(name):
-    import random
-
     workload = WORKLOADS[name]()
     for op in workload.round(random.Random(3))[:4]:
         op.check(op.call())
