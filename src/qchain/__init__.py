@@ -12,8 +12,6 @@ from .exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
     Rational,
-    SingularMatrix,
-    linear_solve,
     quad_sqrt,
     rational_sqrt,
     scalar_sqrt,

@@ -1,6 +1,5 @@
-"""Exact scalar backends: arbitrary-precision rationals, the quadratic
-extension field Q(sqrt(D)), and a dense linear solver generic over both
-exact and floating-point entries.
+"""Exact scalar backends: arbitrary-precision rationals and the quadratic
+extension field Q(sqrt(D)).
 
 ``Rational`` is an alias for :class:`fractions.Fraction`, which already
 provides reduced arbitrary-precision rationals.  :class:`QuadraticNumber`
@@ -23,11 +22,9 @@ __all__ = [
     "QuadraticNumber",
     "DiscriminantMismatch",
     "NotAPerfectSquare",
-    "SingularMatrix",
     "rational_sqrt",
     "quad_sqrt",
     "scalar_sqrt",
-    "linear_solve",
     "format_scalar",
     "parse_exact",
 ]
@@ -39,10 +36,6 @@ class DiscriminantMismatch(ValueError):
 
 class NotAPerfectSquare(ArithmeticError):
     """The requested square root does not exist in the exact field."""
-
-
-class SingularMatrix(ArithmeticError):
-    """Gaussian elimination found no usable pivot."""
 
 
 def rational_sqrt(x) -> Fraction | None:
@@ -237,7 +230,11 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(float(self.D))
+        root = math.sqrt(float(self.D))
+        if self.a < 0 < self.b or self.b < 0 < self.a:
+            # a and b*sqrt(D) cancel: divide the exact norm by the conjugate
+            return float(self.a * self.a - self.b * self.b * self.D) / (float(self.a) - float(self.b) * root)
+        return float(self.a) + float(self.b) * root
 
     def __repr__(self):
         return f"QuadraticNumber({self.a}, {self.b}, {self.D})"
@@ -308,63 +305,6 @@ def scalar_sqrt(v):
     if isinstance(v, complex):
         return cmath.sqrt(v)
     return math.sqrt(v)
-
-
-def linear_solve(A, rhs):
-    """Solve the square system A x = rhs by Gaussian elimination.
-
-    Exact entries (Fraction / QuadraticNumber) use the first nonzero pivot
-    and produce an identically-zero residual; float or complex entries use
-    partial pivoting by magnitude with pivots below 1e-12 * max|A| deemed
-    singular.  Entries may mix exact types as long as they share one field.
-    """
-    n = len(A)
-    if n == 0:
-        return []
-    if any(len(row) != n for row in A) or len(rhs) != n:
-        raise ValueError("linear_solve requires a square matrix and matching rhs")
-    M = [list(row) + [rhs[i]] for i, row in enumerate(A)]
-    is_float = any(isinstance(x, (float, complex)) for row in M for x in row)
-
-    if is_float:
-        # equilibrate rows first: kernel moment systems mix row scales by
-        # many orders of magnitude, which would defeat a global pivot norm
-        for i, row in enumerate(M):
-            scale = max(abs(x) for x in row[:n])
-            if scale == 0.0:
-                raise SingularMatrix(f"zero row {i}")
-            if scale != 1.0:
-                M[i] = [x / scale for x in row]
-        tol = 1e-12  # relative to the unit row scale
-        for col in range(n):
-            piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-            if abs(M[piv][col]) <= tol:
-                raise SingularMatrix(f"pivot {abs(M[piv][col]):.3e} below threshold in column {col}")
-            M[col], M[piv] = M[piv], M[col]
-            for r in range(col + 1, n):
-                if M[r][col] != 0:
-                    f = M[r][col] / M[col][col]
-                    for c in range(col, n + 1):
-                        M[r][c] -= f * M[col][c]
-    else:
-        for col in range(n):
-            piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrix(f"no nonzero pivot in column {col}")
-            M[col], M[piv] = M[piv], M[col]
-            for r in range(col + 1, n):
-                if M[r][col] != 0:
-                    f = M[r][col] / M[col][col]
-                    for c in range(col, n + 1):
-                        M[r][c] = M[r][c] - f * M[col][c]
-
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        acc = M[i][n]
-        for jj in range(i + 1, n):
-            acc = acc - M[i][jj] * x[jj]
-        x[i] = acc / M[i][i]
-    return x
 
 
 def format_scalar(v) -> str:

@@ -3,7 +3,13 @@ composition algebra, and seeded Monte Carlo simulation of the chain they
 generate (q > 1).
 
 Given a state y, the next state lives on the m support points
-chi_k(y, q), k in (m), with masses solved from the moment system
+chi_k(y, q), k in (m): the zeros of the Al-Salam-Chihara polynomial
+p_m(x | y, rho, q) at rho = q^{-(m-1)/2}.  The masses are that family's
+Christoffel numbers (Gauss-quadrature weights)
+
+    mass_k = 1 / sum_{j<m} p_j(chi_k | y, rho, q)^2 / h_j,
+
+which satisfy the moment law
 
     sum_k mass_k = 1
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
@@ -25,8 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import QuadraticNumber, format_scalar, linear_solve, parse_exact
-from .qcore import QParams, eval_H_seq, eval_p_seq
+from .exactnum import QuadraticNumber, format_scalar, parse_exact
+from .qcore import QParams, eval_H_seq, eval_p_seq, q_bracket
 from .spectra import (
     VerificationFailed,
     VerificationReport,
@@ -61,7 +67,7 @@ MASS_TOL = 1e-10  # float-mode slack for nonnegativity / normalization
 
 
 class DegenerateSupport(ArithmeticError):
-    """Support points collided; the mass system would be singular."""
+    """Support points collided; the kernel needs m distinct points."""
 
 
 class NegativeMassError(ArithmeticError):
@@ -199,11 +205,10 @@ class ConditionalDistribution:
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y.
 
-    Support points come from chi; masses solve the (m x m) moment system
-    whose first row enforces normalization and whose j-th row matches the
-    j-th q-Hermite conditional moment.  The equivalent Al-Salam-Chihara
-    system (sum_k mass_k p_j(chi_k | y, rho, q) = 0) is then evaluated as
-    an independent cross-check.
+    Support points come from chi; masses are the Christoffel numbers of
+    the Al-Salam-Chihara family at those points, one closed form for the
+    exact and the float lane.  They match the first m-1 q-Hermite
+    conditional moments (see conditional_moment_residual).
 
     Negative masses raise NegativeMassError when strict, otherwise warn.
     """
@@ -231,16 +236,20 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
         elif not right - left > 1e-12 * max(1.0, abs(left), abs(right)):
             raise DegenerateSupport(f"support points collide at state y={y}")
 
-    H_at_value = [eval_H_seq(m - 1, v, q) for v in values]
-    H_at_y = eval_H_seq(m - 1, y, q)
-    one = values[0] * 0 + 1  # unit in the value backend (QuadraticNumber or float)
-    matrix = [[one for _ in ks]] + [[H_at_value[i][j] for i in range(m)] for j in range(1, m)]
-    rhs = [one] + [one * (rho**j * H_at_y[j]) for j in range(1, m)]
-    masses = linear_solve(matrix, rhs)
+    # Christoffel numbers (module docstring) with the norms
+    # h_j = [j]_q! prod_{i<j} (1 - rho^2 q^i) > 0, so every mass is positive
+    norms = [1]
+    for j in range(1, m):
+        norms.append(norms[-1] * q_bracket(j, q) * (1 - rho * rho * q ** (j - 1)))
+    masses = []
+    for v in values:
+        p = eval_p_seq(m - 1, v, y, rho, q)
+        total = 1  # p_0^2 / h_0 as an int: 1 / 1.0 would leave the exact lane
+        for j in range(1, m):
+            total = total + p[j] * (p[j] / norms[j])  # p_j^2 overflows floats first
+        masses.append(1 / total)
 
     dist = ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, lam) for k, v, lam in zip(ks, values, masses)})
-
-    _cross_check_p_system(dist, rho, sq)
 
     negatives = dist.negative_atoms()
     if negatives:
@@ -252,30 +261,6 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
             stacklevel=2,
         )
     return dist
-
-
-def _cross_check_p_system(dist: ConditionalDistribution, rho, sq) -> None:
-    # the Al-Salam-Chihara route to the same masses must agree: identically
-    # in exact mode, and with a small backward error (residual normalized by
-    # row norm times mass norm, the float solve's natural accuracy) in floats
-    m, y, q = dist.m, dist.y, dist.q
-    p_at_value = {k: eval_p_seq(m - 1, atom.value, y, rho, q) for k, atom in dist.atoms.items()}
-    mass_norm = max(1.0, sum(abs(float(atom.mass)) for atom in dist.atoms.values()))
-    for j in range(1, m):
-        residual = 0
-        row_norm = 1.0
-        for k, atom in dist.atoms.items():
-            residual = residual + atom.mass * p_at_value[k][j]
-            row_norm = max(row_norm, abs(float(p_at_value[k][j])))
-        if dist.exact:
-            if residual != 0:
-                raise AssertionError(
-                    f"mass cross-check regression: p-system residual {residual} at j={j}"
-                )
-        elif abs(float(residual)) > 1e-10 * row_norm * mass_norm:
-            raise AssertionError(
-                f"mass cross-check regression: p-system residual {residual} at j={j}"
-            )
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):

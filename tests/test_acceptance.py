@@ -5,7 +5,11 @@ Tolerances are pinned here and nowhere else:
 
   * exact criteria assert identical equality in Q(sqrt(D));
   * the kernel's regression mean E[X_1 | X_0 = y] = rho y holds identically
-    on the exact kernel and within 4 ulps of rho y on the float kernel;
+    on the exact kernel and within 4 ulps of rho y on the float kernel at
+    y = 1;
+  * over 500 seeded uniform y in [-10, 10] per (m, q), m in {2, 3, 4, 8},
+    q in {9/4, 4, 16}, the float regression mean is within
+    16 ulps of sum_k mass_k |chi_k| of rho y;
   * statistical criteria use four standard errors under the exact kernel;
   * the addition formula allows 1e-8 relative with imaginary residue
     below 1e-10.
@@ -134,6 +138,15 @@ def test_criterion_7_monte_carlo_kernel_consistency():
     exact_mean = build_distribution(2, Fraction(1), Fraction(4)).kernel_moment(lambda v: v)
     assert exact_mean == Fraction(1, 2)
     assert abs(mean_one - 0.5) <= 4 * math.ulp(0.5)
+    uniform = random.Random(7)  # apart from the sampling stream
+    for m in (2, 3, 4, 8):
+        for q in (2.25, 4.0, 16.0):
+            rho = math.sqrt(q) ** -(m - 1)
+            for _ in range(500):
+                y = uniform.uniform(-10.0, 10.0)
+                dist = build_distribution(m, y, q)
+                gap = abs(dist.kernel_moment(lambda v: v) - rho * y)
+                assert gap <= 16 * math.ulp(dist.kernel_moment(abs)), (m, q, y, gap)
     emp_one = math.fsum(firsts) / draws
     assert abs(emp_one - mean_one) <= 4 * math.sqrt(var_one / draws)
 

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit-code contract, determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,13 @@ class TestDist:
         assert by_k[-1]["mass"] == pytest.approx(0.8273268353539885)
         assert by_k[1]["value"] == pytest.approx(2.3956439237389597)
         assert by_k[1]["mass"] == pytest.approx(0.17267316464601146)
+
+    def test_float_high_order(self, capsys):
+        code, out, _ = run(capsys, "dist", "--m", "10", "--y=-2.5", "--q", "16", "--mode", "float")
+        assert code == 0
+        masses = [entry["mass"] for entry in json.loads(out)["atoms"]]
+        assert len(masses) == 10 and min(masses) > 0
+        assert abs(math.fsum(masses) - 1) <= 1e-12
 
     def test_exact_round_trip(self, capsys):
         code, out, _ = run(capsys, "dist", "--m", "3", "--y=-3/7", "--q", "9/4")

@@ -1,9 +1,10 @@
 """Exact arithmetic backbone: quadratic field elements, square roots,
-and the generic linear solver."""
+float conversion and serialization."""
 
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +13,13 @@ from qchain.exactnum import (
     DiscriminantMismatch,
     NotAPerfectSquare,
     QuadraticNumber,
-    SingularMatrix,
     format_scalar,
-    linear_solve,
     parse_exact,
     quad_sqrt,
     rational_sqrt,
     scalar_sqrt,
 )
+from qchain.markov import build_distribution
 
 D = Fraction(7, 3)
 
@@ -177,60 +177,30 @@ class TestScalarSqrt:
             scalar_sqrt(Fraction(2))
 
 
-class TestLinearSolve:
-    def test_identity(self):
-        rhs = [Fraction(3), Fraction(-1, 2)]
-        assert linear_solve([[1, 0], [0, 1]], rhs) == rhs
+class TestFloatConversion:
+    @staticmethod
+    def reference(v: QuadraticNumber):
+        with mpmath.workprec(200):
+            a, b, d = (mpmath.mpf(x.numerator) / x.denominator for x in (v.a, v.b, v.D))
+            return a + b * mpmath.sqrt(d)
 
-    def test_two_by_two_rational(self):
-        x = linear_solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]], [Fraction(1), Fraction(0)])
-        assert x == [Fraction(2), Fraction(-1)]
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    @pytest.mark.parametrize("q", [Fraction(4), Fraction(16)])
+    def test_kernel_atoms_round_to_a_few_ulps(self, m, q):
+        # support values and masses of exact kernels: a and b*sqrt(D) of
+        # opposite signs cancel to many digits here
+        for y in (Fraction(1), Fraction(-3, 7), Fraction(5, 2)):
+            for atom in build_distribution(m, y, q).atoms.values():
+                for v in atom:
+                    ref = self.reference(v)
+                    assert abs(float(v) - ref) <= 4 * 2**-53 * abs(ref), (m, q, y, v)
 
-    def test_exact_residual_is_zero(self):
-        A = [
-            [Fraction(2), Fraction(-1, 3), Fraction(5)],
-            [Fraction(0), Fraction(7, 2), Fraction(1)],
-            [Fraction(1), Fraction(1), Fraction(1)],
-        ]
-        rhs = [Fraction(1), Fraction(-2), Fraction(3, 7)]
-        x = linear_solve(A, rhs)
-        for row, b in zip(A, rhs):
-            assert sum(c * v for c, v in zip(row, x)) == b
-
-    def test_quadratic_entries(self):
-        A = [[qn(1, 1), qn(0, 1)], [qn(2, 0), qn(1, -1)]]
-        rhs = [qn(1, 0), qn(0, 0)]
-        x = linear_solve(A, rhs)
-        for row, b in zip(A, rhs):
-            acc = qn(0, 0)
-            for c, v in zip(row, x):
-                acc = acc + c * v
-            assert acc == b
-
-    def test_exact_needs_pivot_in_first_column(self):
-        # leading zero forces a row swap
-        x = linear_solve([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], [Fraction(5), Fraction(7)])
-        assert x == [Fraction(7), Fraction(5)]
-
-    def test_singular_exact(self):
-        with pytest.raises(SingularMatrix):
-            linear_solve([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]], [Fraction(1), Fraction(1)])
-
-    def test_singular_float(self):
-        with pytest.raises(SingularMatrix):
-            linear_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-    def test_float_accuracy(self):
-        # known solution, wildly different row scales
-        A = [[1.0, 1.0, 1.0], [1e6, -2e6, 3e6], [1e-4, 2e-4, -1e-4]]
-        x_true = [0.3, -1.7, 2.2]
-        rhs = [sum(c * v for c, v in zip(row, x_true)) for row in A]
-        x = linear_solve(A, rhs)
-        assert max(abs(a - b) for a, b in zip(x, x_true)) < 1e-9
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            linear_solve([[1.0, 2.0]], [1.0])
+    @given(rationals, rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, a, b):
+        v = qn(a, b)
+        ref = self.reference(v)
+        assert abs(float(v) - ref) <= 4 * 2**-53 * abs(ref)
 
 
 class TestSerialization:

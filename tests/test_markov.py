@@ -83,6 +83,18 @@ class TestBuildDistribution:
             assert isinstance(atom.value, QuadraticNumber)
             assert atom.value.D == Fraction(7, 3)
 
+    @pytest.mark.parametrize("q", [Fraction(9, 4), Q4, Fraction(16)])
+    def test_float_masses_match_rounded_exact_masses(self, q):
+        rng = random.Random(2026)
+        for m in range(2, 17):
+            for _ in range(2):
+                y = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                exact = build_distribution(m, y, q)
+                approx = build_distribution(m, float(y), float(q))
+                for k in exact.indices():
+                    ref = float(exact.mass(k))
+                    assert abs(approx.mass(k) - ref) <= 1e-12 * ref, (m, y, k)
+
 
 class TestMomentLaw:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -157,9 +169,16 @@ class TestChapmanKolmogorov:
         assert report.max_residual == 0.0
 
     def test_float_pass(self):
-        report = verify_chapman_kolmogorov(4, 3, 0.37, 2.25, mode="float")
-        assert report.passed
-        assert report.max_residual < 1e-9
+        # wide supports (q = 16, m >= 3 over |y| <= 10) must compose to 1e-9 too
+        cases = [(4, 3, 2.25, [0.37]), (4, 2, 16.0, [1.0])]
+        for m, n, q, seed in ((3, 2, 4.0, 3), (4, 3, 2.25, 4)):
+            rng = random.Random(seed)
+            cases.append((m, n, q, [rng.uniform(-10.0, 10.0) for _ in range(100)]))
+        for m, n, q, ys in cases:
+            for y in ys:
+                report = verify_chapman_kolmogorov(m, n, y, q, mode="float")
+                assert report.passed
+                assert report.max_residual < 1e-9, (m, n, q, y, report.max_residual)
 
     def test_mode_guard(self):
         with pytest.raises(ValueError):
