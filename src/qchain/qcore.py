@@ -3,7 +3,8 @@ of four polynomial families, generic over the scalar backend.
 
 All evaluators are written once against plain arithmetic operators and
 work unchanged for float, complex, Fraction, QuadraticNumber and mpmath
-scalars.  The families:
+scalars.  The four families share one three-term driver,
+y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n):
 
     H_n(x|q)        monic q-Hermite:      x H_n = H_{n+1} + [n]_q H_{n-1}
     h_n(x|q)        continuous q-Hermite: 2x h_n = h_{n+1} + (1-q^n) h_{n-1}
@@ -17,7 +18,7 @@ Everything is a pure function; no global state.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,19 +42,17 @@ __all__ = [
 ]
 
 
-def _check_finite(v, family: str, degree: int):
-    # float mode overflows (n ~ 40 at q ~ 2) must surface as errors, not inf
-    if isinstance(v, float) and not math.isfinite(v):
+def _check_finite(seq: list, family: str, first_degree: int = 0) -> None:
+    """Raise OverflowError naming the first degree whose float or complex
+    value is not finite (float mode overflows near n ~ 40 at q ~ 2).  inf
+    and nan propagate to the last value, so only an overflowed sequence
+    is scanned."""
+    if isinstance(seq[-1], (float, complex)) and not cmath.isfinite(seq[-1]):
+        degree = first_degree + next(i for i, v in enumerate(seq) if not cmath.isfinite(v))
         raise OverflowError(
             f"{family} recurrence overflowed 64-bit floats at degree {degree}; "
             f"use exact (Fraction) inputs"
         )
-    if isinstance(v, complex) and not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise OverflowError(
-            f"{family} recurrence overflowed 64-bit floats at degree {degree}; "
-            f"use exact (Fraction) inputs"
-        )
-    return v
 
 
 def q_bracket(n: int, q):
@@ -75,9 +74,10 @@ def q_factorial(n: int, q):
     """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    out = 1
-    for i in range(1, n + 1):
-        out = out * q_bracket(i, q)
+    out, bracket, power = 1, 0, 1  # [i]_q and q^i, summed as in q_bracket
+    for _ in range(n):
+        bracket, power = bracket + power, power * q
+        out = out * bracket
     return out
 
 
@@ -106,40 +106,44 @@ def q_pochhammer(a, q, n: int):
     return out
 
 
-def eval_H_seq(n: int, x, q) -> list:
-    """All monic q-Hermite values H_0(x|q) .. H_n(x|q) in one forward pass."""
+def _three_term(n: int, q, family: str, coefficients) -> list:
+    """y_0 .. y_n of y_{i+1} = a_i y_i - b_i y_{i-1}, y_{-1} = 0, y_0 = 1.
+
+    `coefficients(q^{i-1}, q^i, [i]_q)` returns (a_i, b_i); the powers and
+    brackets are carried here, summed as in q_bracket.  q^{-1} is never
+    formed: at i = 0 it meets [0]_q = 0, and 0 stands in for it (keeps
+    integer q exact).
+    """
     if n < 0:
         raise ValueError("degree must be >= 0")
     seq = [1]
     prev, cur = 0, 1
-    for i in range(n):
-        prev, cur = cur, _check_finite(x * cur - q_bracket(i, q) * prev, "H", i + 1)
-        seq.append(cur)
+    power_prev, power, bracket = 0, 1, 0
+    try:
+        for _ in range(n):
+            a, b = coefficients(power_prev, power, bracket)
+            prev, cur = cur, a * cur - b * prev
+            seq.append(cur)
+            power_prev, power, bracket = power, power * q, bracket + power
+    finally:  # also on an early exit, e.g. an int coefficient too large for an overflowed float
+        _check_finite(seq, family)
     return seq
+
+
+def eval_H_seq(n: int, x, q) -> list:
+    """All monic q-Hermite values H_0(x|q) .. H_n(x|q) in one forward pass."""
+    return _three_term(n, q, "H", lambda power_prev, power, bracket: (x, bracket))
 
 
 def eval_H(n: int, x, q):
     """H_n(x|q) by forward recurrence."""
-    prev, cur = 0, 1
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    for i in range(n):
-        prev, cur = cur, _check_finite(x * cur - q_bracket(i, q) * prev, "H", i + 1)
-    return cur
+    return eval_H_seq(n, x, q)[n]
 
 
 def eval_h_seq(n: int, x, q) -> list:
     """All continuous q-Hermite values h_0(x|q) .. h_n(x|q)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    seq = [1]
-    prev, cur = 0, 1
-    power = 1  # q^i
-    for i in range(n):
-        prev, cur = cur, _check_finite(2 * x * cur - (1 - power) * prev, "h", i + 1)
-        power = power * q
-        seq.append(cur)
-    return seq
+    two_x = 2 * x
+    return _three_term(n, q, "h", lambda power_prev, power, bracket: (two_x, 1 - power))
 
 
 def eval_h(n: int, x, q):
@@ -148,22 +152,8 @@ def eval_h(n: int, x, q):
 
 
 def eval_B_seq(n: int, y, q) -> list:
-    """All connection-family values B_0(y|q) .. B_n(y|q).
-
-    The i = 0 step multiplies [0]_q = 0, so q^{i-1} is never formed with a
-    negative exponent (keeps integer q exact).
-    """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    seq = [1]
-    prev, cur = 0, 1
-    power_prev, power = None, 1  # q^{i-1}, q^i
-    for i in range(n):
-        back = power_prev * q_bracket(i, q) if i >= 1 else 0
-        prev, cur = cur, _check_finite(-(power * y) * cur + back * prev, "B", i + 1)
-        power_prev, power = power, power * q
-        seq.append(cur)
-    return seq
+    """All connection-family values B_0(y|q) .. B_n(y|q)."""
+    return _three_term(n, q, "B", lambda power_prev, power, bracket: (-(power * y), -(power_prev * bracket)))
 
 
 def eval_B(n: int, y, q):
@@ -173,17 +163,10 @@ def eval_B(n: int, y, q):
 
 def eval_p_seq(n: int, x, y, rho, q) -> list:
     """All Al-Salam-Chihara values p_0 .. p_n at (x | y, rho, q)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    seq = [1]
-    prev, cur = 0, 1
-    power_prev, power = None, 1  # q^{i-1}, q^i
-    for i in range(n):
-        back = (1 - rho * rho * power_prev) * q_bracket(i, q) if i >= 1 else 0
-        prev, cur = cur, _check_finite((x - rho * y * power) * cur - back * prev, "p", i + 1)
-        power_prev, power = power, power * q
-        seq.append(cur)
-    return seq
+    rho_y, rho_sq = rho * y, rho * rho
+    return _three_term(
+        n, q, "p", lambda power_prev, power, bracket: (x - rho_y * power, (1 - rho_sq * power_prev) * bracket)
+    )
 
 
 def eval_p(n: int, x, y, rho, q):
@@ -209,7 +192,8 @@ def eval_p_expansion(n: int, x, y, rho, q):
         k = n - j
         total = total + q_binomial(n, k, q) * rho_pow * B_seq[j] * H_seq[k]
         rho_pow = rho_pow * rho
-    return _check_finite(total, "p-expansion", n)
+    _check_finite([total], "p-expansion", n)
+    return total
 
 
 @dataclass(frozen=True)

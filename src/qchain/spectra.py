@@ -24,7 +24,7 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -37,14 +37,13 @@ from .exactnum import (
 )
 from .qcore import (
     eval_B,
-    eval_B_seq,
     eval_H,
-    eval_H_seq,
     eval_h,
     eval_h_seq,
     eval_p,
     eval_p_expansion,
     q_binomial,
+    q_pochhammer,
 )
 
 __all__ = [
@@ -286,14 +285,16 @@ def eval_product_form(m: int, x, y, q, sqrt_q=None):
         raise ValueError("eval_product_form needs q != 1")
     sq = _resolve_sqrt_q(q, sqrt_q)
     neg_y = -y
-    if m % 2 == 0:
-        degrees = range(1, m, 2)
-    else:
-        degrees = range(0, m, 2)
     out = 1
-    for n in degrees:
+    for n in _factor_degrees(m):
         out = out * v_factor(n, x, neg_y, q, sq)
     return out
+
+
+def _factor_degrees(m: int) -> range:
+    """Degrees of the quadratic factors in a degree-m product: the odd ones
+    below an even m, the even ones below an odd m."""
+    return range(1 - m % 2, m, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +423,12 @@ def verify_addition_formula(
 
         shift = mq ** (mpmath.mpf(1 - n) / 2)
         pochhammer = mpmath.e ** (-1j * n * mpmath.mpf(phi))
-        for base in (
-            -shift * mpmath.e ** (1j * (mpmath.mpf(theta) + mpmath.mpf(phi))),
-            -shift * mpmath.e ** (1j * (-mpmath.mpf(theta) + mpmath.mpf(phi))),
-        ):
-            power = mpmath.mpf(1)
-            for _ in range(n):
-                pochhammer *= 1 - base * power
-                power *= mq
+        for angle in (mpmath.mpf(theta) + mpmath.mpf(phi), -mpmath.mpf(theta) + mpmath.mpf(phi)):
+            pochhammer *= q_pochhammer(-shift * mpmath.e ** (1j * angle), mq, n)
 
         sqrt_mq = mpmath.sqrt(mq)
-        degrees = range(1, n, 2) if n % 2 == 0 else range(0, n, 2)
         product = mpmath.mpf(2) ** n
-        for d in degrees:
+        for d in _factor_degrees(n):
             product *= t_factor(d, x, y, mq, sqrt_mq)
 
         scale = max(1.0, abs(summed), abs(product))
@@ -612,12 +606,7 @@ def hermite_limit_identity(m: int, x, y) -> VerificationReport:
     if m < 1:
         raise ValueError("needs m >= 1")
     x, y = Fraction(x), Fraction(y)
-    one = Fraction(1)
-    B_seq = eval_B_seq(m, y, one)
-    H_seq = eval_H_seq(m, x, one)
-    total = Fraction(0)
-    for k in range(m + 1):
-        total += math.comb(m, k) * B_seq[m - k] * H_seq[k]
+    total = eval_p_expansion(m, x, y, 1, 1)  # the q-binomials at q = 1 are C(m, k)
     expected = (x - y) ** m
     report = VerificationReport(
         identity="hermite-limit",

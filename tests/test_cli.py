@@ -45,6 +45,9 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["identity"] == "chapman-kolmogorov"
         assert doc["passed"] is True and doc["max_residual"] == 0.0
+        # float mode: support values near 1e8 compose to within an ulp, not 1e-9 absolute
+        code, out, _ = run(capsys, "verify", "ck", "--m", "5", "--n", "2", "--y", "8", "--q", "16", "--mode", "float")
+        assert code == 0 and json.loads(out)["passed"] is True
 
     def test_factorization_degree_one(self, capsys):
         code, out, _ = run(capsys, "verify", "factorization", "--m", "1", "--q", "4")

@@ -171,9 +171,12 @@ class TestChapmanKolmogorov:
     def test_float_pass(self):
         # wide supports (q = 16, m >= 3 over |y| <= 10) must compose to 1e-9 too
         cases = [(4, 3, 2.25, [0.37]), (4, 2, 16.0, [1.0])]
-        for m, n, q, seed in ((3, 2, 4.0, 3), (4, 3, 2.25, 4)):
+        # (5, 2) and (6, 2) at q = 16 reach |chi| ~ 1e8, where one ulp of a
+        # support value is far above 1e-9 absolute
+        sweeps = ((3, 2, 4.0, 3, 100), (4, 3, 2.25, 4, 100), (5, 2, 16.0, 11, 150), (6, 2, 16.0, 11, 150))
+        for m, n, q, seed, count in sweeps:
             rng = random.Random(seed)
-            cases.append((m, n, q, [rng.uniform(-10.0, 10.0) for _ in range(100)]))
+            cases.append((m, n, q, [rng.uniform(-10.0, 10.0) for _ in range(count)]))
         for m, n, q, ys in cases:
             for y in ys:
                 report = verify_chapman_kolmogorov(m, n, y, q, mode="float")
@@ -328,6 +331,9 @@ class TestSerialization:
         dist = build_distribution(4, 0.37, 2.25)
         clone = ConditionalDistribution.from_json_dict(json.loads(dist.to_json()))
         assert clone.max_deviation(dist) == 0.0
+        # an exact kernel against a float one is compared in floats
+        exact = build_distribution(4, Fraction(37, 100), Fraction(9, 4))
+        assert exact.max_deviation(dist) == dist.max_deviation(exact) < 1e-14
 
     def test_json_shape(self):
         doc = build_distribution(2, Y1, Q4).to_json_dict()

@@ -134,8 +134,11 @@ class TestHermiteFamily:
         assert [eval_H(n, x, q) for n in range(13)] == seq
 
     def test_float_overflow_is_an_error(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="degree 57;"):
             eval_H(60, 3.0, 2.5)
+        # the error names the first degree that overflowed, also for complex input
+        with pytest.raises(OverflowError, match="degree 45;"):
+            eval_h(400, 50j, 4.0)
         # exact inputs are immune
         assert eval_H(60, Fraction(3), Fraction(5, 2)) != 0
 
