@@ -50,6 +50,11 @@ def rational_sqrt(x) -> Fraction | None:
     return None
 
 
+def _log2(x: Fraction) -> int:
+    """log2 |x| to within 1 for a nonzero rational (-1 at zero)."""
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
 class QuadraticNumber:
     """An element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)).
 
@@ -230,11 +235,19 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        root = math.sqrt(float(self.D))
-        if self.a < 0 < self.b or self.b < 0 < self.a:
-            # a and b*sqrt(D) cancel: divide the exact norm by the conjugate
-            return float(self.a * self.a - self.b * self.b * self.D) / (float(self.a) - float(self.b) * root)
-        return float(self.a) + float(self.b) * root
+        # a + b sqrt(D) = 2^e (a' + b' sqrt(D')) with |a'|, |b' sqrt(D')| <~ 1
+        # and D' near 1, so no term underflows or overflows on conversion
+        t = _log2(self.D) // 2
+        D = self.D / Fraction(4) ** t
+        e = max((_log2(x) for x in (self.a, self.b * Fraction(2) ** t) if x), default=0)
+        a, b = self.a / Fraction(2) ** e, self.b * Fraction(2) ** (t - e)
+        root = math.sqrt(float(D))
+        if a < 0 < b or b < 0 < a:
+            # a and b*sqrt(D) cancel: divide the exact norm, scaled apart, by the conjugate
+            norm = a * a - b * b * D
+            f = _log2(norm)
+            return math.ldexp(float(norm / Fraction(2) ** f) / (float(a) - float(b) * root), e + f)
+        return math.ldexp(float(a) + float(b) * root, e)
 
     def __repr__(self):
         return f"QuadraticNumber({self.a}, {self.b}, {self.D})"

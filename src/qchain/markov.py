@@ -2,14 +2,21 @@
 composition algebra, and seeded Monte Carlo simulation of the chain they
 generate (q > 1).
 
-Given a state y, the next state lives on the m support points
-chi_k(y, q), k in (m): the zeros of the Al-Salam-Chihara polynomial
-p_m(x | y, rho, q) at rho = q^{-(m-1)/2}.  The masses are that family's
-Christoffel numbers (Gauss-quadrature weights)
+Given a state y = (2/sqrt(q-1)) sinh(theta), the next state lives on the
+m support points chi_k(y, q), k in (m): the zeros of the Al-Salam-Chihara
+polynomial p_m(x | y, rho, q) at rho = q^{-(m-1)/2}.  The masses are that
+family's Christoffel numbers (Gauss-quadrature weights), which here close
+into one product in z = e^{2 theta} = ((q-1)/4) (y + sqrt(y^2 + 4/(q-1)))^2:
+with j = (m-1-k)/2,
 
-    mass_k = 1 / sum_{j<m} p_j(chi_k | y, rho, q)^2 / h_j,
+    mass_k = [m-1 choose j]_{1/q} prod_{i in (m), i<k} 1 / (1 + z q^{(k+i)/2})
+                                  prod_{i in (m), i>k} 1 / (1 + z^{-1} q^{-(k+i)/2}).
 
-which satisfy the moment law
+(k+i)/2 is an integer and every factor lies in (0, 1], so no mass is
+negative and nothing cancels: the exact lane stays in Q(sqrt(D)), and
+float masses are within 1e-12 relative of the correctly rounded exact
+ones for |y| up to 1e100 (from about 1.3e154, y^2 overflows and the build
+raises DegenerateSupport).  The masses satisfy the moment law
 
     sum_k mass_k = 1
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
@@ -26,14 +33,13 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import QuadraticNumber, format_scalar, parse_exact
-from .qcore import QParams, eval_H_seq, eval_p_seq, q_bracket
-from .spectra import VerificationReport, _fail, chi, index_set
+from .qcore import QParams, eval_H_seq
+from .spectra import VerificationReport, _fail, chi, chi_radical, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -123,39 +129,21 @@ class ConditionalDistribution:
         return self.atoms[k].mass
 
     def mass_total(self):
-        total = 0
-        for atom in self.atoms.values():
-            total = total + atom.mass
-        return total
+        return sum(atom.mass for atom in self.atoms.values())
 
     def negative_atoms(self, tol: float = MASS_TOL) -> list[int]:
-        bad = []
-        for k, atom in self.atoms.items():
-            if self.exact:
-                if atom.mass < 0:
-                    bad.append(k)
-            elif atom.mass < -tol:
-                bad.append(k)
-        return sorted(bad)
+        floor = 0 if self.exact else -tol
+        return sorted(k for k, atom in self.atoms.items() if atom.mass < floor)
 
     def kernel_moment(self, g) -> object:
         """sum_k mass_k * g(value_k) for a scalar function g."""
-        total = 0
-        for atom in self.atoms.values():
-            total = total + atom.mass * g(atom.value)
-        return total
+        return sum(atom.mass * g(atom.value) for atom in self.atoms.values())
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        mode = "exact" if self.exact else "float"
-        atoms = []
-        for k in self.indices():
-            atom = self.atoms[k]
-            if mode == "exact":
-                atoms.append({"k": k, "value": format_scalar(atom.value), "mass": format_scalar(atom.mass)})
-            else:
-                atoms.append({"k": k, "value": float(atom.value), "mass": float(atom.mass)})
+        mode, scalar = ("exact", format_scalar) if self.exact else ("float", float)
+        atoms = [{"k": k, "value": scalar(a.value), "mass": scalar(a.mass)} for k, a in sorted(self.atoms.items())]
         return {"q": str(self.q), "m": self.m, "y": format_scalar(self.y), "atoms": atoms, "mode": mode}
 
     def to_json(self) -> str:
@@ -181,7 +169,8 @@ class ConditionalDistribution:
         """Largest atom-wise gap against another kernel sharing the same
         index set (inf when the supports differ): value gaps relative to
         max(1, |value|), mass gaps absolute.  Equal atoms are skipped and
-        unequal exact ones are differenced exactly, so 0.0 means identical."""
+        unequal exact ones are differenced exactly, so 0.0 means identical;
+        a nan gap makes the result nan, which no tolerance accepts."""
         if self.indices() != other.indices():
             return math.inf
         worst = 0.0
@@ -192,19 +181,23 @@ class ConditionalDistribution:
             if self.exact != other.exact:  # an exact kernel against a float one
                 mine, theirs = Atom(*map(float, mine)), Atom(*map(float, theirs))
             scale = max(1, abs(mine.value), abs(theirs.value))
-            worst = max(worst, float(abs(mine.value - theirs.value) / scale), float(abs(mine.mass - theirs.mass)))
+            for gap in (float(abs(mine.value - theirs.value) / scale), float(abs(mine.mass - theirs.mass))):
+                if gap > worst or math.isnan(gap):  # max() would drop a nan gap
+                    worst = gap
         return worst
 
 
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y.
 
-    Support points come from chi; masses are the Christoffel numbers of
-    the Al-Salam-Chihara family at those points, one closed form for the
-    exact and the float lane.  They match the first m-1 q-Hermite
-    conditional moments (see conditional_moment_residual).
-
-    Negative masses raise NegativeMassError when strict, otherwise warn.
+    Support points come from chi; masses are the Christoffel numbers
+    [m-1 choose j]_{1/q} prod_{i<k} 1/(1 + z q^{(k+i)/2})
+    prod_{i>k} 1/(1 + z^{-1} q^{-(k+i)/2}) of the module docstring, one
+    loop for both lanes.  Every factor lies in (0, 1]: float masses are
+    within 1e-12 relative of the rounded exact ones up to |y| = 1e100,
+    and from about |y| = 1.3e154 the build raises DegenerateSupport.
+    `strict` raises NegativeMassError on a negative mass, which this
+    form cannot produce.
     """
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
@@ -214,8 +207,7 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
         raise ValueError(f"kernel needs q > 1, got {q}")
     if _is_exact(q) and not _exact_state(y):
         q, sqrt_q = float(q), None  # a float state forces the float backend
-    params = QParams.create(q, m, sqrt_q)
-    sq, rho = params.sqrt_q, params.rho
+    sq = QParams.create(q, m, sqrt_q).sqrt_q
     if not _is_exact(q):
         y = float(y)
 
@@ -224,36 +216,30 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
 
     # support must consist of m distinct points (strictly increasing in k)
     for left, right in zip(values, values[1:]):
-        if _is_exact(q):
-            if not left < right:
-                raise DegenerateSupport(f"support points collide at state y={y}")
-        elif not right - left > 1e-12 * max(1.0, abs(left), abs(right)):
-            raise DegenerateSupport(f"support points collide at state y={y}")
+        if not (left < right if _is_exact(q) else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
+            raise DegenerateSupport(f"support points collide at state y={y} (m={m}, q={q})")
 
-    # Christoffel numbers (module docstring) with the norms
-    # h_j = [j]_q! prod_{i<j} (1 - rho^2 q^i) > 0, so every mass is positive
-    norms = [1]
-    for j in range(1, m):
-        norms.append(norms[-1] * q_bracket(j, q) * (1 - rho * rho * q ** (j - 1)))
-    masses = []
-    for v in values:
-        p = eval_p_seq(m - 1, v, y, rho, q)
-        total = 1  # p_0^2 / h_0 as an int: 1 / 1.0 would leave the exact lane
-        for j in range(1, m):
-            total = total + p[j] * (p[j] / norms[j])  # p_j^2 overflows floats first
-        masses.append(1 / total)
+    # z = e^{2 theta} and 1/z, with e^{2|theta|} >= 1 formed from |y| so that
+    # y + sqrt(D) never cancels; the factors depend on e = (k+i)/2 alone
+    s = abs(y) + chi_radical(y, q)
+    big = (q - 1) / 4 * s * s
+    z, z_inv = (big, 1 / big) if y >= 0 else (1 / big, big)
+    below = {e: 1 / (1 + z * q**e) for e in range(2 - m, m - 1)}  # factors for i < k
+    above = {e: 1 / (1 + z_inv / q**e) for e in range(2 - m, m - 1)}  # factors for i > k
+    masses = {}
+    binomial = 1  # [m-1 choose j]_{1/q}, carried from j = 0 (k = m-1) down the index set
+    for j, k in enumerate(reversed(ks)):
+        mass = binomial
+        for i in ks:
+            if i != k:
+                mass = mass * (below if i < k else above)[(k + i) // 2]
+        masses[k] = mass
+        binomial = binomial * (1 - q ** (j + 1 - m)) / (1 - q ** (-j - 1))
 
-    dist = ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, lam) for k, v, lam in zip(ks, values, masses)})
-
-    negatives = dist.negative_atoms()
+    dist = ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, masses[k]) for k, v in zip(ks, values)})
+    negatives = dist.negative_atoms() if strict else []
     if negatives:
-        k = negatives[0]
-        if strict:
-            raise NegativeMassError(k, dist.atoms[k].mass)
-        warnings.warn(
-            f"kernel(m={m}, y={y}, q={q}) has negative mass at index {k}: {dist.atoms[k].mass}",
-            stacklevel=2,
-        )
+        raise NegativeMassError(negatives[0], dist.atoms[negatives[0]].mass)
     return dist
 
 
@@ -352,13 +338,14 @@ def verify_chapman_kolmogorov(
     With `multi_step`, additionally compose the 2-step kernel with a further
     order-m step and match it against the 3-step kernel.
     """
-    if mode == "exact" and not _is_exact(q):
-        raise ValueError("exact mode needs rational q (and y)")
     if mode == "float":
         q, y = float(q), float(y)
+    exact = _is_exact(q) and _exact_state(y)  # the kernels' lane: a float y makes float kernels
+    if mode == "exact" and not exact:
+        raise ValueError("exact mode needs rational q and y")
     report = VerificationReport(
         identity="chapman-kolmogorov",
-        parameters={"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if _is_exact(q) else "float"},
+        parameters={"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"},
         points_checked=0,
         max_residual=0.0,
     )

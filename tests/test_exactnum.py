@@ -179,8 +179,8 @@ class TestScalarSqrt:
 
 class TestFloatConversion:
     @staticmethod
-    def reference(v: QuadraticNumber):
-        with mpmath.workprec(200):
+    def reference(v: QuadraticNumber, prec: int = 200):
+        with mpmath.workprec(prec):
             a, b, d = (mpmath.mpf(x.numerator) / x.denominator for x in (v.a, v.b, v.D))
             return a + b * mpmath.sqrt(d)
 
@@ -194,6 +194,17 @@ class TestFloatConversion:
                 for v in atom:
                     ref = self.reference(v)
                     assert abs(float(v) - ref) <= 4 * 2**-53 * abs(ref), (m, q, y, v)
+
+    def test_underflowing_parts_round_to_subnormal_or_zero(self):
+        # every part of these masses underflows a float, so only a scaled
+        # conversion reaches the correctly rounded value; a and b*sqrt(D)
+        # cancel to hundreds of digits, hence the wide reference
+        dist = build_distribution(8, Fraction(10**60), Fraction(9, 4))
+        tiny = qn(Fraction(3, 10**322), Fraction(-1, 10**322))  # 1.5e-322, subnormal
+        for v in [dist.mass(k) for k in dist.indices()] + [tiny]:
+            ref = self.reference(v, prec=4000)
+            assert abs(float(v) - ref) <= max(4 * 2**-53 * abs(ref), 2**-1074), v
+        assert float(dist.mass(1)) == 0.0 and float(dist.mass(-3)) > 0 and float(tiny) > 0
 
     @given(rationals, rationals)
     @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Transition kernels: construction, moment laws, composition, sampling."""
 
+import hashlib
 import json
 import math
 import random
@@ -95,6 +96,43 @@ class TestBuildDistribution:
                     ref = float(exact.mass(k))
                     assert abs(approx.mass(k) - ref) <= 1e-12 * ref, (m, y, k)
 
+    @pytest.mark.parametrize("q", [Fraction(9, 4), Q4, Fraction(16)])
+    def test_float_masses_match_rounded_exact_masses_at_large_states(self, q):
+        # |y| log-uniform up to 1e100, both signs, y a multiple of 1/8 so
+        # the float and the exact kernel sit at the same state
+        rng = random.Random(2027)
+        for m in (2, 3, 4, 8, 12, 16):
+            for sign in (1, -1) * 2:
+                y = sign * round(8 * 10 ** rng.uniform(0, 100)) / 8
+                exact = build_distribution(m, Fraction(y), q)
+                approx = build_distribution(m, y, float(q))
+                for k in exact.indices():
+                    ref = float(exact.mass(k))
+                    if ref >= 1e-290:
+                        assert abs(approx.mass(k) - ref) <= 1e-12 * ref, (m, y, k)
+
+    @pytest.mark.parametrize("q", [2.25, 4.0, 16.0])
+    def test_float_masses_stay_normalized_until_chi_overflows(self, q):
+        # z = e^{2 theta} overflows near |y| = 1e153 while chi does not
+        for m in (2, 3, 4, 8, 12, 16):
+            for y in [sign * 10.0**e for e in range(0, 154, 3) for sign in (1, -1)] + [1e153, -1e153]:
+                masses = [build_distribution(m, y, q).mass(k) for k in index_set(m)]
+                assert all(math.isfinite(lam) and lam >= 0 for lam in masses), (m, y)
+                assert abs(math.fsum(masses) - 1) <= 1e-12, (m, y)
+
+    def test_degenerate_support_names_its_parameters(self):
+        with pytest.raises(DegenerateSupport, match=r"y=1e\+200.*m=2.*q=4\.0"):
+            build_distribution(2, 1e200, 4.0)
+
+    def test_exact_lane_is_pinned(self):
+        # sha256 of the concatenated exact kernel JSON: any change to an
+        # exact support point or mass shows here
+        qs = (Q4, Fraction(9, 4), Fraction(16))
+        ys = (Fraction(0), Y1, Fraction(-3, 7), Fraction(2, 3), Fraction(5, 2), Fraction(-7, 3), Fraction(11, 12))
+        text = "".join(build_distribution(m, y, q).to_json() for q in qs for y in ys for m in range(2, 10))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "b434697c65d5a44d45bb1a38925b8f4385da81b3d7c9093cb64d1938663f6168"
+
 
 class TestMomentLaw:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -161,6 +199,29 @@ class TestComposition:
         with pytest.raises(CompositionMismatch):
             compose(tampered, 2)
 
+    def test_nan_masses_fail_the_direct_match(self, monkeypatch):
+        import qchain.markov as markov_mod
+
+        real = build_distribution(2, 1.0, 4.0)
+        nan_copy = ConditionalDistribution(
+            m=2, y=real.y, q=real.q, atoms={k: Atom(a.value, math.nan) for k, a in real.atoms.items()}
+        )
+        assert math.isnan(nan_copy.max_deviation(real)) and math.isnan(real.max_deviation(nan_copy))
+        assert not markov_mod._matches_direct(nan_copy)[1]
+        with pytest.raises(CompositionMismatch):
+            compose(nan_copy, 2)  # nan outer masses in the composed kernel
+        real_build = markov_mod.build_distribution
+
+        def nan_direct(m, y, q, sqrt_q=None, strict=False):
+            dist = real_build(m, y, q, sqrt_q, strict)
+            if m == 3:  # the direct kernel is the nan one
+                dist.atoms = {k: Atom(a.value, math.nan) for k, a in dist.atoms.items()}
+            return dist
+
+        monkeypatch.setattr(markov_mod, "build_distribution", nan_direct)
+        with pytest.raises(CompositionMismatch):
+            markov_mod.compose(real, 2)
+
 
 class TestChapmanKolmogorov:
     def test_exact_pass(self):
@@ -182,6 +243,13 @@ class TestChapmanKolmogorov:
                 report = verify_chapman_kolmogorov(m, n, y, q, mode="float")
                 assert report.passed
                 assert report.max_residual < 1e-9, (m, n, q, y, report.max_residual)
+
+    def test_mode_label_follows_the_kernels(self):
+        # a float state makes float kernels even when q is rational
+        assert verify_chapman_kolmogorov(2, 2, 0.3, Q4).parameters["mode"] == "float"
+        assert verify_chapman_kolmogorov(2, 2, Fraction(3, 10), Q4).parameters["mode"] == "exact"
+        with pytest.raises(ValueError):
+            verify_chapman_kolmogorov(2, 2, 0.3, Q4, mode="exact")
 
     def test_mode_guard(self):
         with pytest.raises(ValueError):
