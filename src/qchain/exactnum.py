@@ -301,6 +301,22 @@ def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
 Scalar = Union[int, float, complex, Fraction, QuadraticNumber]
 
 
+_EXACT_TYPES = frozenset((int, bool, Fraction, QuadraticNumber))
+
+
+def _is_exact(*values) -> bool:
+    """The lane rule: a computation is exact iff q and every input coordinate
+    is an int, Fraction or QuadraticNumber; one float puts it in the float lane.
+
+    Float kernel builds ask this several times per chain step, so it tests
+    the type itself: isinstance against Fraction goes through its ABC
+    metaclass and costs several times as much."""
+    for v in values:
+        if type(v) not in _EXACT_TYPES:
+            return False
+    return True
+
+
 def scalar_sqrt(v):
     """Square root matching the backend of v.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import QuadraticNumber, format_scalar, parse_exact
+from .exactnum import _is_exact, format_scalar, parse_exact
 from .qcore import QParams, eval_H_seq
 from .spectra import VerificationReport, _fail, chi, chi_radical, index_set
 
@@ -72,7 +72,9 @@ class DegenerateSupport(ArithmeticError):
 
 
 class NegativeMassError(ArithmeticError):
-    """A solved mass is negative beyond tolerance."""
+    """A kernel mass is negative beyond tolerance.  A built kernel has none
+    (every mass is a product of factors in (0, 1]); kernels loaded through
+    from_json or edited by hand are screened for them."""
 
     def __init__(self, index: int, value):
         self.index = index
@@ -95,14 +97,6 @@ class InsufficientSamples(ValueError):
 class Atom(NamedTuple):
     value: object
     mass: object
-
-
-def _is_exact(q) -> bool:
-    return isinstance(q, (int, Fraction))
-
-
-def _exact_state(y) -> bool:
-    return isinstance(y, (int, Fraction, QuadraticNumber))
 
 
 @dataclass
@@ -205,18 +199,17 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
         q = Fraction(q)
     if not q > 1:
         raise ValueError(f"kernel needs q > 1, got {q}")
-    if _is_exact(q) and not _exact_state(y):
-        q, sqrt_q = float(q), None  # a float state forces the float backend
+    exact = _is_exact(q, y)
+    if not exact:  # a float q or state puts the whole kernel in the float lane
+        q, y, sqrt_q = float(q), float(y), None if _is_exact(sqrt_q) else sqrt_q
     sq = QParams.create(q, m, sqrt_q).sqrt_q
-    if not _is_exact(q):
-        y = float(y)
 
     ks = index_set(m)
     values = [chi(k, y, q, sq) for k in ks]
 
     # support must consist of m distinct points (strictly increasing in k)
     for left, right in zip(values, values[1:]):
-        if not (left < right if _is_exact(q) else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
+        if not (left < right if exact else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
             raise DegenerateSupport(f"support points collide at state y={y} (m={m}, q={q})")
 
     # z = e^{2 theta} and 1/z, with e^{2|theta|} >= 1 formed from |y| so that
@@ -340,15 +333,11 @@ def verify_chapman_kolmogorov(
     """
     if mode == "float":
         q, y = float(q), float(y)
-    exact = _is_exact(q) and _exact_state(y)  # the kernels' lane: a float y makes float kernels
+    exact = _is_exact(q, y)  # the kernels' lane: a float y makes float kernels
     if mode == "exact" and not exact:
         raise ValueError("exact mode needs rational q and y")
-    report = VerificationReport(
-        identity="chapman-kolmogorov",
-        parameters={"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"},
-        points_checked=0,
-        max_residual=0.0,
-    )
+    mode = "exact" if exact else "float"
+    report = VerificationReport("chapman-kolmogorov", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": mode})
     # (label, steps k of the outer kernel, order of the kernel composed after it)
     stages = [("one-step", 1, n), ("multi-step", 2, m)] if multi_step else [("one-step", 1, n)]
     for label, k, inner in stages:
@@ -521,10 +510,11 @@ def empirical_conditional_moment(
     min_samples: int = 100,
 ) -> MomentCheckReport:
     """Regression check of the conditional moment law on simulated paths:
-    grouped by exact source state, the empirical mean of H_j at the
-    lag-step destination is compared against rho^{lag*j} H_j(source), with
-    z-scores using the exact lag-step kernel's variance (sources are
-    reproduced atoms, so exact float grouping is well defined).
+    grouped by source state, the empirical mean of H_j at the lag-step
+    destination is compared against rho^{lag*j} H_j(source), with z-scores
+    using the lag-step kernel's variance.  Sources are grouped by float
+    equality, so one lattice state reached along different paths, and so
+    rounded differently, is split over several groups.
     """
     if not trajectories:
         raise InsufficientSamples("no trajectories supplied")

@@ -22,7 +22,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import NotAPerfectSquare, scalar_sqrt
+from .exactnum import NotAPerfectSquare, _is_exact, scalar_sqrt
 
 __all__ = [
     "q_bracket",
@@ -228,7 +228,7 @@ class QParams:
         return params
 
     def validate(self) -> None:
-        if isinstance(self.q, float):
+        if not _is_exact(self.q):
             if abs(self.sqrt_q * self.sqrt_q - self.q) > 1e-12 * max(1.0, abs(self.q)):
                 raise ValueError("sqrt_q^2 != q beyond float tolerance")
             if abs(self.rho * self.rho * self.q ** (self.m - 1) - 1.0) > 1e-9:

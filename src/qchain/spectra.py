@@ -16,6 +16,14 @@ Verifiers evaluate both sides of an identity on point grids that exceed
 the polynomial degree bound — in exact arithmetic that certifies the
 identity, without any symbolic algebra.  Complex arithmetic appears only
 inside verifiers; the probabilistic pipeline stays real.
+
+Every verifier runs in one of two lanes, by one rule: exact when q and
+every input coordinate is an int, Fraction or QuadraticNumber, float as
+soon as one of them is a float.  The exact lane demands that both sides
+be identical; the float lane demands a relative residual <= rel_tol (a
+nan residual fails) and reports the worst one.  The addition formula and
+the h/H and B/H relations run in the float lane only and need finite
+inputs.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import mpmath
 from .exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
+    _is_exact,
     quad_sqrt,
     scalar_sqrt,
 )
@@ -83,8 +92,8 @@ class VerificationReport:
 
     identity: str
     parameters: dict
-    points_checked: int
-    max_residual: float
+    points_checked: int = 0
+    max_residual: float = 0.0
     witness: dict | None = None
     passed: bool = True
 
@@ -113,7 +122,9 @@ class VerificationFailed(Exception):
 
 
 def _fail(report: VerificationReport, witness: dict) -> VerificationFailed:
-    report.witness = witness
+    """Mark the report failed with a JSON-ready witness: strings and floats
+    as given, every other scalar (exact, complex) as its str()."""
+    report.witness = {key: v if isinstance(v, (str, float)) else str(v) for key, v in witness.items()}
     report.passed = False
     return VerificationFailed(report)
 
@@ -121,6 +132,39 @@ def _fail(report: VerificationReport, witness: dict) -> VerificationFailed:
 def _rel_err(a, b) -> float:
     a, b = complex(a), complex(b)
     return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def _worst(*residuals) -> float:
+    """The largest residual, nan counting as larger than any number."""
+    return max(residuals, key=lambda r: (math.isnan(r), r))
+
+
+def _check(report: VerificationReport, exact: bool, pairs, rel_tol: float, witness: dict) -> None:
+    """The verdict on one point, whose identity says each (lhs, rhs) in
+    `pairs` agree: identical in the exact lane, within rel_tol relative in
+    the float lane, where the worst residual is recorded in the report
+    and, on a failure, in the witness."""
+    report.points_checked += 1
+    if exact:
+        if not all(lhs == rhs for lhs, rhs in pairs):
+            raise _fail(report, witness)
+        return
+    residual = _worst(*(_rel_err(lhs, rhs) for lhs, rhs in pairs))
+    report.max_residual = _worst(report.max_residual, residual)
+    if not residual <= rel_tol:
+        raise _fail(report, {**witness, "residual": residual})
+
+
+def _float_q(q, **coords) -> float:
+    """q as a float for the float-only verifiers, after checking that q and
+    each named coordinate is finite and that q lies in (0, 1) or (1, inf)."""
+    for name, value in {"q": q, **coords}.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    q = float(q)
+    if q <= 0 or q == 1:
+        raise ValueError(f"needs q in (0,1) or (1,inf), got {q}")
+    return q
 
 
 def _normalize_q(q):
@@ -323,57 +367,26 @@ def verify_factorization(
     """Check the three evaluation routes to p_m(x | y, q^{-(m-1)/2}, q)
     (recurrence, connection sum, v-factor product) against each other on a
     grid of (x, y) pairs large enough to pin a bivariate degree-m identity.
-
-    Exact inputs demand identical equality; floats allow rel_tol.
+    The default grid is rational, and floats in the float lane.
     """
     q = _normalize_q(q)
-    exact = isinstance(q, Fraction)
-    sq = _resolve_sqrt_q(q, sqrt_q)
     if sample_points is None:
-        side = m + 2  # (m+2)^2 > (m+1)^2 points
-        axis = rational_grid(side) if exact else [float(v) for v in rational_grid(side)]
+        axis = rational_grid(m + 2)  # (m+2)^2 > (m+1)^2 points
         sample_points = [(x, y) for x in axis for y in axis]
     if len(sample_points) <= (m + 1) ** 2:
         raise ValueError(f"need more than {(m + 1) ** 2} sample points for degree {m}")
+    exact = _is_exact(q, *(c for point in sample_points for c in point))
+    if not exact:
+        q, sample_points = float(q), [(float(x), float(y)) for x, y in sample_points]
+    sq = _resolve_sqrt_q(q, sqrt_q)
     rho = sq ** (-(m - 1))
-    report = VerificationReport(
-        identity="factorization",
-        parameters={"m": m, "q": str(q), "mode": "exact" if exact else "float"},
-        points_checked=0,
-        max_residual=0.0,
-    )
+    report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
     for x, y in sample_points:
         recur = eval_p(m, x, y, rho, q)
         summed = eval_sum_form(m, x, y, q, sq)
         product = eval_product_form(m, x, y, q, sq)
-        report.points_checked += 1
-        if exact:
-            if not (recur == summed and recur == product):
-                raise _fail(
-                    report,
-                    {
-                        "x": str(x),
-                        "y": str(y),
-                        "recurrence": str(recur),
-                        "sum_form": str(summed),
-                        "product_form": str(product),
-                    },
-                )
-        else:
-            residual = max(_rel_err(recur, summed), _rel_err(recur, product))
-            report.max_residual = max(report.max_residual, residual)
-            if residual > rel_tol:
-                raise _fail(
-                    report,
-                    {
-                        "x": x,
-                        "y": y,
-                        "recurrence": recur,
-                        "sum_form": summed,
-                        "product_form": product,
-                        "residual": residual,
-                    },
-                )
+        witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
+        _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report
 
 
@@ -397,20 +410,13 @@ def verify_addition_formula(
 
     The alternating sum (a) cancels catastrophically in doubles for q far
     from 1, so all three quantities are evaluated with mpmath at `dps`
-    digits and compared at rel_tol; the imaginary part of (b) must vanish
-    to imag_tol.
+    digits and compared at rel_tol against their common scale; the
+    imaginary part of (b) must vanish to imag_tol.
     """
     if n < 1:
         raise ValueError("verify_addition_formula needs n >= 1")
-    q = float(q)
-    if q <= 0 or q == 1:
-        raise ValueError("needs q in (0,1) or (1,inf)")
-    report = VerificationReport(
-        identity="addition-formula",
-        parameters={"n": n, "theta": theta, "phi": phi, "q": q},
-        points_checked=0,
-        max_residual=0.0,
-    )
+    q = _float_q(q, theta=theta, phi=phi)
+    report = VerificationReport("addition-formula", {"n": n, "theta": theta, "phi": phi, "q": q}, points_checked=3)
     with mpmath.mp.workdps(dps):
         mq = mpmath.mpf(q)
         x, y = mpmath.cos(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(phi))
@@ -431,29 +437,13 @@ def verify_addition_formula(
         for d in _factor_degrees(n):
             product *= t_factor(d, x, y, mq, sqrt_mq)
 
-        scale = max(1.0, abs(summed), abs(product))
-        residual = float(
-            max(
-                abs(summed - pochhammer.real),
-                abs(summed - product),
-                abs(pochhammer.real - product),
-            )
-            / scale
-        )
+        real, scale = pochhammer.real, max(1.0, abs(summed), abs(product))
+        residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)
         imag = float(abs(pochhammer.imag))
-        report.points_checked = 3
-        report.max_residual = max(residual, imag)
-        if residual > rel_tol or imag > imag_tol:
-            raise _fail(
-                report,
-                {
-                    "sum": float(summed),
-                    "pochhammer_product": complex(pochhammer),
-                    "t_product": float(product),
-                    "residual": residual,
-                    "imag": imag,
-                },
-            )
+        report.max_residual = _worst(residual, imag)
+        if not (residual <= rel_tol and imag <= imag_tol):
+            sides = {"sum": float(summed), "pochhammer_product": complex(pochhammer), "t_product": float(product)}
+            raise _fail(report, {**sides, "residual": residual, "imag": imag})
     return report
 
 
@@ -468,33 +458,18 @@ def verify_h_H_relation(m: int, x: float, q: float, rel_tol: float = 1e-8) -> Ve
     """
     if m < 0:
         raise ValueError("degree must be >= 0")
-    q = float(q)
-    if q <= 0 or q == 1:
-        raise ValueError("needs q in (0,1) or (1,inf)")
+    q = _float_q(q, x=x)
     x = float(x)
-    report = VerificationReport(
-        identity="h-H-relation",
-        parameters={"m": m, "x": x, "q": q},
-        points_checked=0,
-        max_residual=0.0,
-    )
+    report = VerificationReport("h-H-relation", {"m": m, "x": x, "q": q})
     w = cmath.sqrt(1 - q + 0j)
     lhs = eval_h(m, x, q)
     rhs = w**m * eval_H(m, 2 * x / w if m else 0j, q) if m else 1 + 0j
-    residual = _rel_err(lhs, rhs)
-
     u = cmath.sqrt(q - 1 + 0j)
     lhs2 = eval_H(m, x, q)
     rhs2 = (-1j) ** m * eval_h(m, 1j * x * u / 2, q) / u**m if m else 1 + 0j
-    residual2 = _rel_err(lhs2, rhs2)
-
-    report.points_checked = 2
-    report.max_residual = max(residual, residual2)
-    if report.max_residual > rel_tol:
-        raise _fail(
-            report,
-            {"h_side": lhs, "scaled_H": complex(rhs), "H_side": lhs2, "scaled_h": complex(rhs2)},
-        )
+    witness = {"h_side": lhs, "scaled_H": rhs, "H_side": lhs2, "scaled_h": rhs2}
+    for pair in ((lhs, rhs), (lhs2, rhs2)):
+        _check(report, False, [pair], rel_tol, witness)
     return report
 
 
@@ -507,25 +482,16 @@ def verify_B_H_relation(n: int, y: float, q: float, rel_tol: float = 1e-8) -> Ve
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    q = float(q)
-    if q <= 0 or q == 1:
-        raise ValueError("needs q in (0,1) or (1,inf)")
+    q = _float_q(q, y=y)
     y = float(y)
-    report = VerificationReport(
-        identity="B-H-relation",
-        parameters={"n": n, "y": y, "q": q},
-        points_checked=0,
-        max_residual=0.0,
-    )
+    report = VerificationReport("B-H-relation", {"n": n, "y": y, "q": q})
     lhs = eval_B(n, y, q)
     rhs_H = 1j**n * math.sqrt(q) ** (n * (n - 2)) * eval_H(n, 1j * math.sqrt(q) * y, 1 / q)
     u = cmath.sqrt(q - 1 + 0j)
     rhs_h = 1j**n * float(q) ** (n * (n - 1) // 2) * eval_h(n, 1j * y * u / 2, 1 / q) / u**n if n else 1 + 0j
-    residual = max(_rel_err(lhs, rhs_H), _rel_err(lhs, rhs_h))
-    report.points_checked = 2
-    report.max_residual = residual
-    if residual > rel_tol:
-        raise _fail(report, {"B": lhs, "via_H": complex(rhs_H), "via_h": complex(rhs_h)})
+    witness = {"B": lhs, "via_H": rhs_H, "via_h": rhs_h}
+    for pair in ((lhs, rhs_H), (lhs, rhs_h)):
+        _check(report, False, [pair], rel_tol, witness)
     return report
 
 
@@ -541,56 +507,34 @@ def verify_chi_properties(
 
       (i)  chi_m(y,q)^2 + 4/(q-1) is the square of
            y (q^{m/2} - q^{-m/2})/2 + sqrt(y^2 + 4/(q-1)) (q^{m/2} + q^{-m/2})/2,
-           which exact mode re-extracts with quad_sqrt;
+           which the exact lane also re-extracts with quad_sqrt;
       (ii) chi_m(chi_n(y,q), q) = chi_{m+n}(y,q).
 
-    Index 0 is allowed (chi_0 is the identity map).  Exact inputs demand
-    identical equality.
+    Index 0 is allowed (chi_0 is the identity map).
     """
     q = _normalize_q(q)
     if not q > 1:
         raise ValueError(f"needs q > 1, got {q}")
+    exact = _is_exact(q, y)
+    if not exact:
+        q, y = float(q), float(y)
     sq = _resolve_sqrt_q(q, sqrt_q)
-    exact = not isinstance(q, float)
     report = VerificationReport(
-        identity="chi-properties",
-        parameters={"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"},
-        points_checked=0,
-        max_residual=0.0,
+        "chi-properties", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"}
     )
 
     lifted, radical = _lift_state(y, q)
     qm = sq**m
-    square_root_form = (lifted * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
+    root = (lifted * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
     chi_m = chi(m, y, q, sq)
-    lhs = chi_m * chi_m + (Fraction(4) if exact else 4.0) / (q - 1)
-    report.points_checked += 1
-    if exact:
-        ok = square_root_form * square_root_form == lhs and quad_sqrt(lhs) == square_root_form
-    else:
-        residual = _rel_err(lhs, square_root_form * square_root_form)
-        report.max_residual = max(report.max_residual, residual)
-        ok = residual <= rel_tol
-    if not ok:
-        raise _fail(
-            report,
-            {"property": "radical-square", "lhs": str(lhs), "root": str(square_root_form)},
-        )
+    lhs = chi_m * chi_m + 4 / (q - 1)
+    pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
+    _check(report, exact, pairs, rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
 
     composed = chi(m, chi(n, y, q, sq), q, sq)
     direct = chi(m + n, y, q, sq)
-    report.points_checked += 1
-    if exact:
-        ok = composed == direct
-    else:
-        residual = _rel_err(composed, direct)
-        report.max_residual = max(report.max_residual, residual)
-        ok = residual <= rel_tol
-    if not ok:
-        raise _fail(
-            report,
-            {"property": "composition", "chi_m(chi_n)": str(composed), "chi_{m+n}": str(direct)},
-        )
+    witness = {"property": "composition", "chi_m(chi_n)": composed, "chi_{m+n}": direct}
+    _check(report, exact, [(composed, direct)], rel_tol, witness)
     return report
 
 
@@ -608,14 +552,8 @@ def hermite_limit_identity(m: int, x, y) -> VerificationReport:
     x, y = Fraction(x), Fraction(y)
     total = eval_p_expansion(m, x, y, 1, 1)  # the q-binomials at q = 1 are C(m, k)
     expected = (x - y) ** m
-    report = VerificationReport(
-        identity="hermite-limit",
-        parameters={"m": m, "x": str(x), "y": str(y)},
-        points_checked=1,
-        max_residual=0.0,
-    )
-    if total != expected:
-        raise _fail(report, {"sum": str(total), "(x-y)^m": str(expected)})
+    report = VerificationReport("hermite-limit", {"m": m, "x": str(x), "y": str(y)})
+    _check(report, True, [(total, expected)], 0.0, {"sum": total, "(x-y)^m": expected})
     return report
 
 

@@ -76,6 +76,10 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "B-H", "--n", "3", "--y", "0.8", "--q", "2.25")
         assert code == 0
 
+    def test_non_finite_angle_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "verify", "addition", "--n", "3", "--theta", "nan", "--phi", "0.5", "--q", "4")
+        assert code == 3 and out == "" and "theta" in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # poison the direct kernel so the consistency check must fail
         import qchain.markov as markov_mod

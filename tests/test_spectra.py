@@ -1,7 +1,10 @@
 """Index sets, the chi root family, factor families, and the identity
 verifiers."""
 
+import hashlib
+import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain.exactnum import QuadraticNumber
+from qchain.markov import verify_chapman_kolmogorov
 from qchain.qcore import eval_h_seq, eval_p, q_binomial
 from qchain.spectra import (
     IndexSetError,
@@ -354,3 +358,79 @@ class TestHermiteLimit:
         assert doc["identity"] == "hermite-limit"
         assert doc["passed"] is True
         assert "witness" not in doc
+
+
+class TestVerdicts:
+    """One lane rule and one verdict across the verifiers."""
+
+    def test_exact_lane_reports_are_pinned(self):
+        # sha256 of the concatenated exact-lane report JSON over a seeded
+        # sweep: any change to a verdict, count or parameter shows here
+        rng = random.Random(7)
+
+        def rational():
+            return Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+
+        reports = []
+        for q in (Fraction(4), Fraction(9, 4), Fraction(16)):
+            for m in range(1, 5):
+                points = [(rational(), rational()) for _ in range((m + 1) ** 2 + 1)]
+                reports.append(verify_factorization(m, q, sample_points=points))
+            for _ in range(6):
+                reports.append(verify_chi_properties(rng.randint(-4, 4), rng.randint(-4, 4), rational(), q))
+            for m, n in ((2, 2), (2, 3), (3, 2)):
+                reports.append(verify_chapman_kolmogorov(m, n, rational(), q))
+        for m in range(1, 9):
+            reports.append(hermite_limit_identity(m, rational(), rational()))
+        digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+        assert digest == "bb26d36179601b9013b394fc67f65a191e7c11d42487c308b92222b98e8d35e3"
+
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("theta", lambda: verify_addition_formula(3, math.nan, 0.5, 4.0)),
+            ("phi", lambda: verify_addition_formula(3, 0.5, math.inf, 4.0)),
+            ("q", lambda: verify_addition_formula(3, 0.5, 0.5, math.inf)),
+            ("q", lambda: verify_addition_formula(3, 0.5, 0.5, math.nan)),
+            ("q", lambda: verify_h_H_relation(3, 0.3, math.nan)),
+            ("x", lambda: verify_h_H_relation(3, -math.inf, 4.0)),
+            ("y", lambda: verify_B_H_relation(3, math.nan, 4.0)),
+        ],
+    )
+    def test_non_finite_inputs_name_their_parameter(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+    def test_float_points_put_factorization_in_the_float_lane(self):
+        # at q = 4 the sum form lands two ulps off the recurrence at (-2, -1.2)
+        axis = [float(v) for v in rational_grid(6)]
+        report = verify_factorization(3, Fraction(4), sample_points=[(x, y) for x in axis for y in axis])
+        assert report.passed and report.parameters["mode"] == "float"
+        assert 0 < report.max_residual < 1e-8
+
+    def test_nan_residual_fails_and_is_reported(self):
+        with pytest.raises(VerificationFailed) as exc:
+            verify_chi_properties(2, 1, math.nan, 4.0)
+        assert math.isnan(exc.value.report.max_residual)
+        assert math.isnan(exc.value.report.witness["residual"])
+
+    @pytest.mark.parametrize("m,n,y,q", [(2, -1, 0.37, Fraction(9, 4)), (2, 1, Fraction(1), 4.0)])
+    def test_mixed_lanes_run_chi_in_the_float_lane(self, m, n, y, q):
+        report = verify_chi_properties(m, n, y, q)
+        assert report.passed and report.parameters["mode"] == "float"
+        assert report.max_residual < 1e-9
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: verify_h_H_relation(3, 0.3, 4.0, rel_tol=-1.0),
+            lambda: verify_B_H_relation(3, 0.3, 4.0, rel_tol=-1.0),
+            lambda: verify_addition_formula(3, 0.5, 0.5, 0.5, rel_tol=-1.0),
+        ],
+    )
+    def test_failed_float_reports_serialize(self, call):
+        # complex witness values are written as strings
+        with pytest.raises(VerificationFailed) as exc:
+            call()
+        doc = json.loads(exc.value.report.to_json())
+        assert doc["passed"] is False and "residual" in doc["witness"]
