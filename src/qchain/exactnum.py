@@ -13,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Union
 
 Rational = Fraction
 
@@ -296,9 +295,6 @@ def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
         if w * w == v:
             return w if w.sign() >= 0 else -w
     raise NotAPerfectSquare(f"{v} has no square root in Q(sqrt({D}))")
-
-
-Scalar = Union[int, float, complex, Fraction, QuadraticNumber]
 
 
 _EXACT_TYPES = frozenset((int, bool, Fraction, QuadraticNumber))

@@ -64,8 +64,6 @@ __all__ = [
 
 DEFAULT_SEED = 42
 
-MASS_TOL = 1e-10  # float-mode slack for nonnegativity / normalization
-
 
 class DegenerateSupport(ArithmeticError):
     """Support points collided; the kernel needs m distinct points."""
@@ -125,8 +123,8 @@ class ConditionalDistribution:
     def mass_total(self):
         return sum(atom.mass for atom in self.atoms.values())
 
-    def negative_atoms(self, tol: float = MASS_TOL) -> list[int]:
-        floor = 0 if self.exact else -tol
+    def negative_atoms(self) -> list[int]:
+        floor = 0 if self.exact else -1e-10  # float-lane slack
         return sorted(k for k, atom in self.atoms.items() if atom.mass < floor)
 
     def kernel_moment(self, g) -> object:
@@ -416,46 +414,49 @@ class Trajectory:
             fh.write("\n")
 
 
+def _draw_index(dist: ConditionalDistribution, rng: random.Random) -> int:
+    """One draw from `dist` by inverse CDF over its atoms in ascending index
+    order, one rng.random() per draw: the drawn atom's index."""
+    u, acc, ks = rng.random(), 0.0, dist.indices()
+    for k in ks:
+        acc += max(float(dist.atoms[k].mass), 0.0)  # a float mass below 0 is an empty atom
+        if u < acc:
+            return k
+    return ks[-1]  # mass sum rounded slightly under 1
+
+
 def sample_step(dist: ConditionalDistribution, rng: random.Random):
-    """Draw the next state from `dist` by inverse CDF over its atoms
-    (ascending index order).  Refuses kernels with a mass below -1e-10;
-    smaller float negatives are treated as empty atoms.
-    """
+    """Draw the next state from `dist` (see _draw_index), refusing kernels
+    with a mass below 0 (exact) or -1e-10 (float)."""
     negatives = dist.negative_atoms()
     if negatives:
-        k = negatives[0]
-        raise NegativeMassError(k, dist.atoms[k].mass)
-    u = rng.random()
-    acc = 0.0
-    ks = dist.indices()
-    for k in ks:
-        atom = dist.atoms[k]
-        acc += max(float(atom.mass), 0.0)
-        if u < acc:
-            return atom.value
-    return dist.atoms[ks[-1]].value  # mass sum rounded slightly under 1
+        raise NegativeMassError(negatives[0], dist.atoms[negatives[0]].mass)
+    return dist.atoms[_draw_index(dist, rng)].value
 
 
 def simulate(config: ChainConfig) -> Trajectory:
-    """Run the chain from config.initial_y for config.steps transitions.
+    """Run the chain from y0 = config.initial_y for config.steps transitions.
 
-    Float backend throughout (kernels are rebuilt at each new state).
-    States grow without bound with positive probability; exceeding
+    The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
+    step draws k in (m) from the kernel at i, built once per visited index,
+    and records chi_{i+k}(y0) computed directly from y0 in the float lane,
+    so a state's float is a function of its index.  Exceeding
     config.max_state raises StateOverflow rather than continuing with
     overflowing floats.
     """
     rng = random.Random(config.seed)
     q = float(config.q)
     sq = math.sqrt(q)
-    state = float(config.initial_y)
-    states = [state]
+    y0 = float(config.initial_y)
+    index, states, kernels = 0, [y0], {}
     for step in range(config.steps):
-        dist = build_distribution(config.m, state, q, sqrt_q=sq)
-        state = float(sample_step(dist, rng))
+        if index not in kernels:  # built at this index's state, states[-1]
+            kernels[index] = build_distribution(config.m, states[-1], q, sqrt_q=sq)
+        index += _draw_index(kernels[index], rng)  # a built kernel has no negative mass
+        state = float(chi(index, y0, q, sq))
         if abs(state) > config.max_state:
             raise StateOverflow(
-                f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} "
-                f"at step {step + 1}"
+                f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}"
             )
         states.append(state)
     return Trajectory(states=states, config=config)
@@ -512,9 +513,9 @@ def empirical_conditional_moment(
     """Regression check of the conditional moment law on simulated paths:
     grouped by source state, the empirical mean of H_j at the lag-step
     destination is compared against rho^{lag*j} H_j(source), with z-scores
-    using the lag-step kernel's variance.  Sources are grouped by float
-    equality, so one lattice state reached along different paths, and so
-    rounded differently, is split over several groups.
+    using the lag-step kernel's variance.  simulate records each state as
+    a function of its lattice index, so each lattice source is one group,
+    whatever the path that reached it.
     """
     if not trajectories:
         raise InsufficientSamples("no trajectories supplied")

@@ -367,7 +367,8 @@ def verify_factorization(
     """Check the three evaluation routes to p_m(x | y, q^{-(m-1)/2}, q)
     (recurrence, connection sum, v-factor product) against each other on a
     grid of (x, y) pairs large enough to pin a bivariate degree-m identity.
-    The default grid is rational, and floats in the float lane.
+    The default grid is rational; in the float lane q and every point must
+    be finite.
     """
     q = _normalize_q(q)
     if sample_points is None:
@@ -377,7 +378,8 @@ def verify_factorization(
         raise ValueError(f"need more than {(m + 1) ** 2} sample points for degree {m}")
     exact = _is_exact(q, *(c for point in sample_points for c in point))
     if not exact:
-        q, sample_points = float(q), [(float(x), float(y)) for x, y in sample_points]
+        sample_points = [(float(x), float(y)) for x, y in sample_points]
+        q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
     sq = _resolve_sqrt_q(q, sqrt_q)
     rho = sq ** (-(m - 1))
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
@@ -410,8 +412,9 @@ def verify_addition_formula(
 
     The alternating sum (a) cancels catastrophically in doubles for q far
     from 1, so all three quantities are evaluated with mpmath at `dps`
-    digits and compared at rel_tol against their common scale; the
-    imaginary part of (b) must vanish to imag_tol.
+    digits and compared at rel_tol against their common scale
+    max(1, |sides|); the imaginary part of (b), held to the same scale,
+    must vanish to imag_tol.
     """
     if n < 1:
         raise ValueError("verify_addition_formula needs n >= 1")
@@ -439,7 +442,7 @@ def verify_addition_formula(
 
         real, scale = pochhammer.real, max(1.0, abs(summed), abs(product))
         residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)
-        imag = float(abs(pochhammer.imag))
+        imag = float(abs(pochhammer.imag) / scale)
         report.max_residual = _worst(residual, imag)
         if not (residual <= rel_tol and imag <= imag_tol):
             sides = {"sum": float(summed), "pochhammer_product": complex(pochhammer), "t_product": float(product)}

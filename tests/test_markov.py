@@ -354,6 +354,44 @@ class TestSimulate:
         for line, state in zip(lines[1:], traj.states):
             assert float(line.split(",")[1]) == state
 
+    @staticmethod
+    def lattice_indices(traj):
+        # y = (2/sqrt(q-1)) sinh(theta), and chi_i moves theta by i ln(q)/2
+        q = traj.config.q
+        theta = [math.asinh(y * math.sqrt(q - 1) / 2) for y in traj.states]
+        return [round((t - theta[0]) / (math.log(q) / 2)) for t in theta]
+
+    def test_states_are_chi_of_an_index_path(self):
+        for m, q, y0 in [(2, 4.0, 1.0), (3, 4.0, -0.7), (4, 16.0, 2.5)]:
+            traj = simulate(ChainConfig(q=q, m=m, initial_y=y0, steps=300, seed=m))
+            indices = self.lattice_indices(traj)
+            assert all(j - i in index_set(m) for i, j in zip(indices, indices[1:]))
+            assert traj.states == [float(chi(i, y0, q)) for i in indices]
+
+    def test_distinct_states_are_distinct_indices(self):
+        # m = 4, q = 4, y0 = 1, seed 3 visits seven lattice indices
+        traj = simulate(ChainConfig(q=4.0, m=4, initial_y=1.0, steps=20000, seed=3))
+        assert len(set(traj.states)) == len(set(self.lattice_indices(traj)))
+
+    def test_one_kernel_build_per_visited_index(self, monkeypatch):
+        calls = []
+
+        def counting_build(m, y, *args, **kwargs):
+            calls.append(y)
+            return build_distribution(m, y, *args, **kwargs)
+
+        monkeypatch.setattr("qchain.markov.build_distribution", counting_build)
+        traj = simulate(ChainConfig(q=4.0, m=3, initial_y=0.3, steps=2000, seed=8))
+        sources = set(self.lattice_indices(traj)[:-1])  # the last state draws nothing
+        assert len(calls) == len(set(calls)) == len(sources)
+
+    def test_moment_groups_are_lattice_sources(self):
+        cfgs = [ChainConfig(q=4.0, m=2, initial_y=1.0, steps=6, seed=s) for s in range(300)]
+        trajectories = [simulate(c) for c in cfgs]
+        report = empirical_conditional_moment(trajectories, j=1, lag=1, min_samples=1)
+        sources = {i for traj in trajectories for i in self.lattice_indices(traj)[:-1]}
+        assert sorted(g.source for g in report.groups) == sorted(float(chi(i, 1.0, 4.0)) for i in sources)
+
 
 class TestEmpiricalMoments:
     def test_deterministic_stub_has_zero_variance(self):

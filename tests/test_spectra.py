@@ -269,6 +269,12 @@ class TestAdditionFormula:
         with pytest.raises(ValueError):
             verify_addition_formula(2, 0.1, 0.2, 1.0)
 
+    def test_imaginary_part_is_held_to_the_common_scale(self):
+        # the sides reach 1.0e43 here, and rounding leaves the Pochhammer side
+        # an imaginary part of 3e-8: 3e-51 of the sides
+        report = verify_addition_formula(12, 2.4108844952150457, 0.023663148975593375, 16.0)
+        assert report.passed and report.max_residual < 1e-40
+
 
 class TestHermiteRelations:
     def test_trivial_degree(self):
@@ -407,6 +413,13 @@ class TestVerdicts:
         report = verify_factorization(3, Fraction(4), sample_points=[(x, y) for x in axis for y in axis])
         assert report.passed and report.parameters["mode"] == "float"
         assert 0 < report.max_residual < 1e-8
+
+    @pytest.mark.parametrize("name,point", [("x", (math.nan, 0.5)), ("y", (0.5, -math.inf))])
+    def test_non_finite_factorization_points_are_named(self, name, point):
+        axis = [0.25 * i for i in range(6)]
+        points = [(x, y) for x in axis for y in axis][:-1] + [point]
+        with pytest.raises(ValueError, match=rf"^{name} of sample point \({point[0]}, {point[1]}\) must be finite"):
+            verify_factorization(3, 4.0, sample_points=points)
 
     def test_nan_residual_fails_and_is_reported(self):
         with pytest.raises(VerificationFailed) as exc:
