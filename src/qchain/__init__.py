@@ -23,6 +23,7 @@ from .markov import (
     ConditionalDistribution,
     DegenerateSupport,
     InsufficientSamples,
+    InvalidKernel,
     NegativeMassError,
     StateOverflow,
     Trajectory,

@@ -8,7 +8,7 @@ Exit codes form a contract usable from CI:
     1  verification found a counterexample
     2  argument or scalar parse error
     3  domain error (q out of range, non-square q in exact mode, ...)
-    4  negative mass under --strict
+    4  kernel masses not a probability vector under --strict (InvalidKernel)
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exactnum import format_scalar
 from .markov import (
     ChainConfig,
     CompositionMismatch,
-    NegativeMassError,
+    InvalidKernel,
     build_distribution,
     simulate,
     verify_chapman_kolmogorov,
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--y", required=True)
     pd.add_argument("--q", required=True)
     pd.add_argument("--mode", choices=["exact", "float"], default="exact")
-    pd.add_argument("--strict", action="store_true", help="error out on negative masses")
+    pd.add_argument("--strict", action="store_true", help="error out on masses that are not a probability vector")
     pd.set_defaults(func=cmd_dist)
 
     ps = sub.add_parser("simulate", help="sample a trajectory, emit CSV (plus JSON sidecar with --out)")
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
     except CLIParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NegativeMassError as exc:
+    except InvalidKernel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, ArithmeticError, OverflowError, RuntimeError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 Rational = Fraction
@@ -203,29 +204,21 @@ class QuadraticNumber:
             return self._degenerate_value() == o._degenerate_value()
         return False
 
-    def __lt__(self, other):
+    def _compare(self, other, test):
         o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
+        return o if o is NotImplemented else test((self - o).sign(), 0)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        return self._compare(other, operator.ge)
 
     def __bool__(self):
         return self.sign() != 0

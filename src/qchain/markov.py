@@ -33,13 +33,13 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact
-from .qcore import QParams, eval_H_seq
-from .spectra import VerificationReport, _fail, chi, chi_radical, index_set
+from .qcore import QParams, _q_binomial_row, eval_H_seq
+from .spectra import VerificationReport, _fail, _normalize_q, chi, chi_radical, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -48,6 +48,7 @@ __all__ = [
     "ChainConfig",
     "Trajectory",
     "DegenerateSupport",
+    "InvalidKernel",
     "NegativeMassError",
     "CompositionMismatch",
     "StateOverflow",
@@ -69,10 +70,15 @@ class DegenerateSupport(ArithmeticError):
     """Support points collided; the kernel needs m distinct points."""
 
 
-class NegativeMassError(ArithmeticError):
-    """A kernel mass is negative beyond tolerance.  A built kernel has none
-    (every mass is a product of factors in (0, 1]); kernels loaded through
-    from_json or edited by hand are screened for them."""
+class InvalidKernel(ArithmeticError):
+    """The masses of a kernel are not a probability vector: a mass is negative
+    (NegativeMassError) or the total is not 1 (see check_masses)."""
+
+
+class NegativeMassError(InvalidKernel):
+    """A kernel mass is below 0.  A built kernel has none (every mass is a
+    product of factors in (0, 1]); kernels loaded through from_json or
+    edited by hand can carry them."""
 
     def __init__(self, index: int, value):
         self.index = index
@@ -124,8 +130,19 @@ class ConditionalDistribution:
         return sum(atom.mass for atom in self.atoms.values())
 
     def negative_atoms(self) -> list[int]:
-        floor = 0 if self.exact else -1e-10  # float-lane slack
-        return sorted(k for k, atom in self.atoms.items() if atom.mass < floor)
+        return sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
+
+    def check_masses(self) -> "ConditionalDistribution":
+        """Return self if the masses are a probability vector: none negative
+        (else NegativeMassError) and summing to 1, exactly in the exact lane
+        and within 1e-12 in the float lane, so nan and inf fail (InvalidKernel)."""
+        negatives = self.negative_atoms()
+        if negatives:
+            raise NegativeMassError(negatives[0], self.atoms[negatives[0]].mass)
+        total = self.mass_total()
+        if not (total == 1 if self.exact else abs(total - 1) <= 1e-12):
+            raise InvalidKernel(f"masses of the kernel at m={self.m}, y={self.y}, q={self.q} sum to {total}, not 1")
+        return self
 
     def kernel_moment(self, g) -> object:
         """sum_k mass_k * g(value_k) for a scalar function g."""
@@ -143,19 +160,10 @@ class ConditionalDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
-        mode = doc["mode"]
-        if mode == "exact":
-            q = Fraction(doc["q"])
-            y = parse_exact(doc["y"])
-            atoms = {
-                entry["k"]: Atom(parse_exact(str(entry["value"])), parse_exact(str(entry["mass"])))
-                for entry in doc["atoms"]
-            }
-        else:
-            q = float(doc["q"])
-            y = float(doc["y"])
-            atoms = {entry["k"]: Atom(float(entry["value"]), float(entry["mass"])) for entry in doc["atoms"]}
-        return cls(m=int(doc["m"]), y=y, q=q, atoms=atoms)
+        exact = doc["mode"] == "exact"
+        scalar = (lambda text: parse_exact(str(text))) if exact else float
+        atoms = {entry["k"]: Atom(scalar(entry["value"]), scalar(entry["mass"])) for entry in doc["atoms"]}
+        return cls(m=int(doc["m"]), y=scalar(doc["y"]), q=(Fraction if exact else float)(doc["q"]), atoms=atoms)
 
     def max_deviation(self, other: "ConditionalDistribution") -> float:
         """Largest atom-wise gap against another kernel sharing the same
@@ -185,16 +193,15 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     Support points come from chi; masses are the Christoffel numbers
     [m-1 choose j]_{1/q} prod_{i<k} 1/(1 + z q^{(k+i)/2})
     prod_{i>k} 1/(1 + z^{-1} q^{-(k+i)/2}) of the module docstring, one
-    loop for both lanes.  Every factor lies in (0, 1]: float masses are
-    within 1e-12 relative of the rounded exact ones up to |y| = 1e100,
-    and from about |y| = 1.3e154 the build raises DegenerateSupport.
-    `strict` raises NegativeMassError on a negative mass, which this
-    form cannot produce.
+    loop for both lanes, the binomials read from one q-Pascal row
+    (qcore._q_binomial_row at 1/q).  Every factor lies in (0, 1]: float
+    masses are within 1e-12 relative of the rounded exact ones up to
+    |y| = 1e100, and from about |y| = 1.3e154 the build raises
+    DegenerateSupport.  `strict` runs check_masses on the result.
     """
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
-    if isinstance(q, int):
-        q = Fraction(q)
+    q = _normalize_q(q)
     if not q > 1:
         raise ValueError(f"kernel needs q > 1, got {q}")
     exact = _is_exact(q, y)
@@ -218,20 +225,16 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     below = {e: 1 / (1 + z * q**e) for e in range(2 - m, m - 1)}  # factors for i < k
     above = {e: 1 / (1 + z_inv / q**e) for e in range(2 - m, m - 1)}  # factors for i > k
     masses = {}
-    binomial = 1  # [m-1 choose j]_{1/q}, carried from j = 0 (k = m-1) down the index set
+    binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
     for j, k in enumerate(reversed(ks)):
-        mass = binomial
+        mass = binomials[j]
         for i in ks:
             if i != k:
                 mass = mass * (below if i < k else above)[(k + i) // 2]
         masses[k] = mass
-        binomial = binomial * (1 - q ** (j + 1 - m)) / (1 - q ** (-j - 1))
 
     dist = ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, masses[k]) for k, v in zip(ks, values)})
-    negatives = dist.negative_atoms() if strict else []
-    if negatives:
-        raise NegativeMassError(negatives[0], dist.atoms[negatives[0]].mass)
-    return dist
+    return dist.check_masses() if strict else dist
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):
@@ -394,15 +397,7 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
     def metadata(self) -> dict:
-        return {
-            "q": self.config.q,
-            "m": self.config.m,
-            "initial_y": self.config.initial_y,
-            "steps": self.config.steps,
-            "seed": self.config.seed,
-            "max_state": self.config.max_state,
-            "states_recorded": len(self.states),
-        }
+        return {**asdict(self.config), "states_recorded": len(self.states)}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -419,19 +414,16 @@ def _draw_index(dist: ConditionalDistribution, rng: random.Random) -> int:
     order, one rng.random() per draw: the drawn atom's index."""
     u, acc, ks = rng.random(), 0.0, dist.indices()
     for k in ks:
-        acc += max(float(dist.atoms[k].mass), 0.0)  # a float mass below 0 is an empty atom
+        acc += float(dist.atoms[k].mass)
         if u < acc:
             return k
     return ks[-1]  # mass sum rounded slightly under 1
 
 
 def sample_step(dist: ConditionalDistribution, rng: random.Random):
-    """Draw the next state from `dist` (see _draw_index), refusing kernels
-    with a mass below 0 (exact) or -1e-10 (float)."""
-    negatives = dist.negative_atoms()
-    if negatives:
-        raise NegativeMassError(negatives[0], dist.atoms[negatives[0]].mass)
-    return dist.atoms[_draw_index(dist, rng)].value
+    """Draw the next state from `dist` (see _draw_index), refusing a kernel
+    whose masses are not a probability vector (check_masses)."""
+    return dist.check_masses().atoms[_draw_index(dist, rng)].value
 
 
 def simulate(config: ChainConfig) -> Trajectory:
@@ -452,7 +444,7 @@ def simulate(config: ChainConfig) -> Trajectory:
     for step in range(config.steps):
         if index not in kernels:  # built at this index's state, states[-1]
             kernels[index] = build_distribution(config.m, states[-1], q, sqrt_q=sq)
-        index += _draw_index(kernels[index], rng)  # a built kernel has no negative mass
+        index += _draw_index(kernels[index], rng)  # built here: drawn without check_masses
         state = float(chi(index, y0, q, sq))
         if abs(state) > config.max_state:
             raise StateOverflow(

@@ -12,15 +12,19 @@ y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n):
     p_n(x|y,rho,q)  Al-Salam-Chihara:
         p_{n+1} = (x - rho y q^n) p_n - (1 - rho^2 q^{n-1}) [n]_q p_{n-1}
 
-with H_{-1} = h_{-1} = B_{-1} = p_{-1} = 0 and unit initial values.
-Everything is a pure function; no global state.
+with H_{-1} = h_{-1} = B_{-1} = p_{-1} = 0 and unit initial values; float or
+complex inputs must be finite.  The Gaussian binomials have one source, the
+q-Pascal row of _q_binomial_row, read by q_binomial, the connection sum, the
+addition formula and the kernel masses.  Pure functions; no global state.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exactnum import NotAPerfectSquare, _is_exact, scalar_sqrt
 
@@ -81,17 +85,23 @@ def q_factorial(n: int, q):
     return out
 
 
+def _q_binomial_row(n: int, q) -> list:
+    """[n choose k]_q for k = 0..n by the q-Pascal rule [i+1 choose k] =
+    [i choose k-1] + q^k [i choose k], updated in place from the top.  Sums
+    and products only: defined at every q, an int q stays int and q = 1
+    gives C(n, k)."""
+    row, powers = [1] * (n + 1), list(accumulate([q] * n, operator.mul, initial=1))
+    for i in range(1, n):  # row[k] = [i choose k] for k <= i
+        for k in range(i, 0, -1):
+            row[k] = row[k - 1] + powers[k] * row[k]
+    return row
+
+
 def q_binomial(n: int, k: int, q):
-    """Gaussian binomial [n]_q! / ([k]_q! [n-k]_q!); zero when k > n."""
+    """Gaussian binomial [n choose k]_q, an entry of _q_binomial_row; 0 when k > n."""
     if k < 0:
         raise ValueError("q_binomial needs k >= 0")
-    if k > n:
-        return 0
-    num = q_factorial(n, q)
-    den = q_factorial(k, q) * q_factorial(n - k, q)
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)  # integer-valued; stay exact
-    return num / den
+    return _q_binomial_row(n, q)[k] if k <= n else 0
 
 
 def q_pochhammer(a, q, n: int):
@@ -106,16 +116,20 @@ def q_pochhammer(a, q, n: int):
     return out
 
 
-def _three_term(n: int, q, family: str, coefficients) -> list:
+def _three_term(n: int, q, family: str, coefficients, **inputs) -> list:
     """y_0 .. y_n of y_{i+1} = a_i y_i - b_i y_{i-1}, y_{-1} = 0, y_0 = 1.
 
     `coefficients(q^{i-1}, q^i, [i]_q)` returns (a_i, b_i); the powers and
     brackets are carried here, summed as in q_bracket.  q^{-1} is never
     formed: at i = 0 it meets [0]_q = 0, and 0 stands in for it (keeps
-    integer q exact).
+    integer q exact).  q and the family's named `inputs` must not be a
+    non-finite float or complex (ValueError naming the input).
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
+    for name, value in {**inputs, "q": q}.items():
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ValueError(f"{family} recurrence needs finite inputs, got {name} = {value}")
     seq = [1]
     prev, cur = 0, 1
     power_prev, power, bracket = 0, 1, 0
@@ -132,7 +146,7 @@ def _three_term(n: int, q, family: str, coefficients) -> list:
 
 def eval_H_seq(n: int, x, q) -> list:
     """All monic q-Hermite values H_0(x|q) .. H_n(x|q) in one forward pass."""
-    return _three_term(n, q, "H", lambda power_prev, power, bracket: (x, bracket))
+    return _three_term(n, q, "H", lambda power_prev, power, bracket: (x, bracket), x=x)
 
 
 def eval_H(n: int, x, q):
@@ -143,7 +157,7 @@ def eval_H(n: int, x, q):
 def eval_h_seq(n: int, x, q) -> list:
     """All continuous q-Hermite values h_0(x|q) .. h_n(x|q)."""
     two_x = 2 * x
-    return _three_term(n, q, "h", lambda power_prev, power, bracket: (two_x, 1 - power))
+    return _three_term(n, q, "h", lambda power_prev, power, bracket: (two_x, 1 - power), x=x)
 
 
 def eval_h(n: int, x, q):
@@ -153,7 +167,7 @@ def eval_h(n: int, x, q):
 
 def eval_B_seq(n: int, y, q) -> list:
     """All connection-family values B_0(y|q) .. B_n(y|q)."""
-    return _three_term(n, q, "B", lambda power_prev, power, bracket: (-(power * y), -(power_prev * bracket)))
+    return _three_term(n, q, "B", lambda power_prev, power, bracket: (-(power * y), -(power_prev * bracket)), y=y)
 
 
 def eval_B(n: int, y, q):
@@ -165,7 +179,8 @@ def eval_p_seq(n: int, x, y, rho, q) -> list:
     """All Al-Salam-Chihara values p_0 .. p_n at (x | y, rho, q)."""
     rho_y, rho_sq = rho * y, rho * rho
     return _three_term(
-        n, q, "p", lambda power_prev, power, bracket: (x - rho_y * power, (1 - rho_sq * power_prev) * bracket)
+        n, q, "p", lambda power_prev, power, bracket: (x - rho_y * power, (1 - rho_sq * power_prev) * bracket),
+        x=x, y=y, rho=rho,
     )
 
 
@@ -179,18 +194,19 @@ def eval_p_expansion(n: int, x, y, rho, q):
 
         sum_{k=0}^{n} qbinom(n,k) rho^{n-k} B_{n-k}(y|q) H_k(x|q),
 
-    an evaluation route independent of the three-term recurrence; the two
-    must agree identically on exact scalars.
+    the binomials from one q-Pascal row: an evaluation route independent of
+    the three-term recurrence; the two must agree identically on exact scalars.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     B_seq = eval_B_seq(n, y, q)
     H_seq = eval_H_seq(n, x, q)
+    binomials = _q_binomial_row(n, q)
     total = 0
     rho_pow = 1
     for j in range(n + 1):  # j = n - k counts the rho/B exponent
         k = n - j
-        total = total + q_binomial(n, k, q) * rho_pow * B_seq[j] * H_seq[k]
+        total = total + binomials[k] * rho_pow * B_seq[j] * H_seq[k]
         rho_pow = rho_pow * rho
     _check_finite([total], "p-expansion", n)
     return total

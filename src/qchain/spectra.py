@@ -45,13 +45,13 @@ from .exactnum import (
     scalar_sqrt,
 )
 from .qcore import (
+    _q_binomial_row,
     eval_B,
     eval_H,
     eval_h,
     eval_h_seq,
     eval_p,
     eval_p_expansion,
-    q_binomial,
     q_pochhammer,
 )
 
@@ -273,34 +273,31 @@ def chi_radical(y, q):
     return _lift_state(y, q)[1]
 
 
-def v_factor(n: int, x, y, q, sqrt_q=None):
-    """Quadratic factor v_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
-    - (q^n + q^{-n} - 2)/(q - 1) for n >= 1; v_0 = x + y."""
+def _quadratic_factor(name: str, n: int, x, y, q, sqrt_q, divisor):
+    """x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) + (q^n + q^{-n} - 2)/divisor(q)
+    for n >= 1 and x + y for n = 0: v_factor and t_factor differ in divisor."""
     if n < 0:
-        raise ValueError("v_factor needs n >= 0")
+        raise ValueError(f"{name} needs n >= 0")
     if n == 0:
         return x + y
     q = _normalize_q(q)
-    if q == 1:
-        raise ValueError("v_factor needs q != 1 for n >= 1")
-    sq = _resolve_sqrt_q(q, sqrt_q)
-    qn_half = sq**n
+    if divisor(q) == 0:
+        raise ValueError(f"{name} needs q != 1 for n >= 1")
+    qn_half = _resolve_sqrt_q(q, sqrt_q) ** n
     qn = qn_half * qn_half
-    return x * x + y * y + x * y * (qn_half + 1 / qn_half) - (qn + 1 / qn - 2) / (q - 1)
+    return x * x + y * y + x * y * (qn_half + 1 / qn_half) + (qn + 1 / qn - 2) / divisor(q)
+
+
+def v_factor(n: int, x, y, q, sqrt_q=None):
+    """Quadratic factor v_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
+    - (q^n + q^{-n} - 2)/(q - 1) for n >= 1; v_0 = x + y."""
+    return _quadratic_factor("v_factor", n, x, y, q, sqrt_q, lambda q: 1 - q)
 
 
 def t_factor(n: int, x, y, q, sqrt_q=None):
     """Companion factor t_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
     + (q^n + q^{-n} - 2)/4 for n >= 1; t_0 = x + y."""
-    if n < 0:
-        raise ValueError("t_factor needs n >= 0")
-    if n == 0:
-        return x + y
-    q = _normalize_q(q)
-    sq = _resolve_sqrt_q(q, sqrt_q)
-    qn_half = sq**n
-    qn = qn_half * qn_half
-    return x * x + y * y + x * y * (qn_half + 1 / qn_half) + (qn + 1 / qn - 2) / 4
+    return _quadratic_factor("t_factor", n, x, y, q, sqrt_q, lambda q: 4)
 
 
 def eval_sum_form(m: int, x, y, q, sqrt_q=None):
@@ -425,10 +422,11 @@ def verify_addition_formula(
         x, y = mpmath.cos(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(phi))
         h_x = eval_h_seq(n, x, mq)
         h_y = eval_h_seq(n, y, 1 / mq)
+        binomials = _q_binomial_row(n, mq)
         summed = mpmath.mpf(0)
         for k in range(n + 1):
             weight = mq ** (mpmath.mpf(-k * (n - k)) / 2)
-            summed += q_binomial(n, k, mq) * weight * h_x[k] * h_y[n - k]
+            summed += binomials[k] * weight * h_x[k] * h_y[n - k]
 
         shift = mq ** (mpmath.mpf(1 - n) / 2)
         pochhammer = mpmath.e ** (-1j * n * mpmath.mpf(phi))

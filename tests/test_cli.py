@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import qchain.cli as cli
-from qchain.markov import ConditionalDistribution, NegativeMassError, build_distribution
+from qchain.markov import ConditionalDistribution, InvalidKernel, NegativeMassError, build_distribution
 
 
 def run(capsys, *argv):
@@ -200,3 +200,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+
+class TestInvalidKernelExit:
+    def test_unnormalized_kernel_exit_four(self, capsys, monkeypatch):
+        def refuse(m, y, q, sqrt_q=None, strict=False):
+            raise InvalidKernel("masses of the kernel at m=2, y=1, q=4 sum to 0.5, not 1")
+
+        monkeypatch.setattr(cli, "build_distribution", refuse)
+        code, _, err = run(capsys, "dist", "--m", "2", "--y", "1", "--q", "4", "--strict")
+        assert code == 4 and "sum to 0.5" in err

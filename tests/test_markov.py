@@ -17,6 +17,7 @@ from qchain.markov import (
     ConditionalDistribution,
     DegenerateSupport,
     InsufficientSamples,
+    InvalidKernel,
     NegativeMassError,
     StateOverflow,
     Trajectory,
@@ -451,3 +452,30 @@ class TestSerialization:
     def test_float_json_uses_numbers(self):
         doc = build_distribution(2, 1.0, 4.0).to_json_dict()
         assert all(isinstance(entry["mass"], float) for entry in doc["atoms"])
+
+
+class TestKernelValidity:
+    @pytest.mark.parametrize("masses", [(math.nan, math.nan), (0.9, math.inf), (0.1, 0.1)])
+    def test_sampling_refuses_masses_that_are_not_a_probability_vector(self, masses):
+        dist = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={-1: Atom(-1.0, masses[0]), 1: Atom(1.0, masses[1])})
+        with pytest.raises(InvalidKernel, match="m=2, y=0.0, q=4.0"):
+            sample_step(dist, random.Random(1))
+
+    def test_sampling_refuses_a_slightly_negative_float_mass(self):
+        dist = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={-1: Atom(-1.0, -5e-11), 1: Atom(1.0, 1 + 5e-11)})
+        with pytest.raises(NegativeMassError):
+            sample_step(dist, random.Random(1))
+
+    def test_exact_masses_must_sum_to_exactly_one(self):
+        built = build_distribution(3, Y1, Q4, strict=True)
+        short = ConditionalDistribution(
+            m=3, y=Y1, q=Q4, atoms={**built.atoms, 2: Atom(built.value(2), built.mass(2) - Fraction(1, 10**30))}
+        )
+        with pytest.raises(InvalidKernel):
+            short.check_masses()
+
+    @pytest.mark.parametrize("q", [2.25, 4.0, 16.0])
+    def test_built_float_kernels_pass(self, q):
+        for m in range(2, 17):
+            for y in (0.0, -3.5, 1e50, -1e153):
+                assert build_distribution(m, y, q, strict=True).mass_total() == pytest.approx(1.0, abs=1e-12)

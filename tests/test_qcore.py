@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -261,3 +262,35 @@ class TestQParams:
     def test_inconsistent_sqrt_rejected(self):
         with pytest.raises(ValueError):
             QParams.create(Fraction(4), 2, sqrt_q=Fraction(3))
+
+
+class TestOneBinomialRow:
+    def test_binomial_at_q_minus_one(self):
+        # [3 choose 1] = 1 + q + q^2 and [4 choose 2] = (1 + q^2)(1 + q + q^2)
+        # at q = -1, where the q-factorial quotient divides by [2]_{-1} = 0
+        assert q_binomial(3, 1, -1) == 1
+        assert q_binomial(4, 2, -1) == 2
+
+    def test_one_row_across_backends(self):
+        exact = Fraction(9, 4)
+        for n in range(9):
+            for k in range(n + 1):
+                poch = q_pochhammer(exact, exact, n)
+                expected = poch / (q_pochhammer(exact, exact, k) * q_pochhammer(exact, exact, n - k))
+                assert q_binomial(n, k, exact) == expected
+                for q in (2.25, mpmath.mpf(2.25)):
+                    assert float(q_binomial(n, k, q)) == pytest.approx(float(expected), rel=1e-14)
+
+
+class TestNonFiniteInputs:
+    def test_nan_state_is_named(self):
+        with pytest.raises(ValueError, match="x = nan"):
+            eval_p(3, math.nan, 0.5, 0.5, 4.0)
+
+    def test_infinite_q_is_named(self):
+        with pytest.raises(ValueError, match="q = inf"):
+            eval_H(3, 1.0, math.inf)
+
+    def test_nan_float_with_mpmath_q(self):
+        with pytest.raises(ValueError, match="x = nan"):
+            eval_H(3, math.nan, mpmath.mpf(4))
