@@ -59,8 +59,8 @@ def _require(args, *names):
 
 def cmd_eval(args) -> int:
     mode = args.mode
-    q = _scalar(args.q, mode) if args.q is not None else None
     _require(args, "q")
+    q = _scalar(args.q, mode)
     if args.family in ("H", "h"):
         _require(args, "x")
         x = _scalar(args.x, mode)
@@ -121,9 +121,9 @@ def cmd_dist(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = ChainConfig(
-        q=float(Fraction(args.q)),
+        q=_scalar(args.q, "float"),
         m=args.m,
-        initial_y=float(Fraction(args.y)),
+        initial_y=_scalar(args.y, "float"),
         steps=args.steps,
         seed=args.seed,
         max_state=args.max_state,

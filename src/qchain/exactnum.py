@@ -40,8 +40,9 @@ class NotAPerfectSquare(ArithmeticError):
 
 def rational_sqrt(x) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    x = Fraction(x)
-    if x < 0:
+    if type(x) is not Fraction:  # as in QuadraticNumber(): skip Fraction's ABC check
+        x = Fraction(x)
+    if x.numerator < 0:
         return None
     rn = math.isqrt(x.numerator)
     rd = math.isqrt(x.denominator)
@@ -63,19 +64,25 @@ class QuadraticNumber:
     automatically).  Comparisons and sign are decided by exact rational
     inequalities, never by floating point.
 
-    When D happens to be a perfect rational square the field degenerates
-    to Q and the (a, b) representation is no longer unique; equality then
-    compares the represented values a + b*sqrt(D) instead of components.
+    Every value has exactly one representation: b != 0 only when sqrt(D)
+    is irrational.  When D is a perfect rational square the field is Q,
+    and the constructor folds a + b*sqrt(D) into (a + b*sqrt(D), 0), so
+    equality is component equality and a nonzero value has a nonzero norm.
     """
 
     __slots__ = ("a", "b", "D")
 
     def __init__(self, a, b, D):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.D = Fraction(D)
+        # arithmetic passes Fractions; Fraction(Fraction) would pay an ABC check
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
+        self.D = D if type(D) is Fraction else Fraction(D)
         if self.D < 0:
             raise ValueError(f"negative discriminant {self.D}: field must be real")
+        if self.b:
+            s = rational_sqrt(self.D)
+            if s is not None:
+                self.a, self.b = self.a + self.b * s, Fraction(0)
 
     def _lift(self, other) -> "QuadraticNumber":
         if isinstance(other, QuadraticNumber):
@@ -130,13 +137,7 @@ class QuadraticNumber:
         # multiply by the conjugate; the norm a^2 - b^2 D vanishes only at 0
         nrm = o.a * o.a - o.b * o.b * o.D
         if nrm == 0:
-            if o.a == 0 and o.b == 0:
-                raise ZeroDivisionError("division by zero quadratic number")
-            # degenerate field: a = -b*sqrt(D) with D a perfect square
-            val = o._degenerate_value()
-            if val == 0:
-                raise ZeroDivisionError("division by zero quadratic number")
-            return QuadraticNumber(self._degenerate_value() / val, 0, self.D)
+            raise ZeroDivisionError("division by zero quadratic number")
         return self * QuadraticNumber(o.a / nrm, -o.b / nrm, self.D)
 
     def __rtruediv__(self, other):
@@ -164,45 +165,21 @@ class QuadraticNumber:
 
     # -- exact comparisons ------------------------------------------------
 
-    def _degenerate_root(self) -> Fraction | None:
-        return rational_sqrt(self.D)
-
-    def _degenerate_value(self) -> Fraction:
-        s = self._degenerate_root()
-        if s is None:
-            raise ArithmeticError("value is irrational")
-        return self.a + self.b * s
-
     def sign(self) -> int:
         """Sign of a + b*sqrt(D), computed by rational comparisons alone."""
-        s = self._degenerate_root()
-        if s is not None:
-            v = self.a + self.b * s
-            return (v > 0) - (v < 0)
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against b^2 D
-        lhs, rhs = self.a * self.a, self.b * self.b * self.D
-        if lhs == rhs:
-            return 0
-        bigger_rational = lhs > rhs
-        return (1 if bigger_rational else -1) if self.a > 0 else (-1 if bigger_rational else 1)
+        a, b = self.a, self.b
+        if not b:
+            return (a > 0) - (a < 0)
+        # b != 0 makes sqrt(D) irrational, so a^2 != b^2 D: b*sqrt(D) sets
+        # the sign unless a has the other sign and the larger square
+        lead = a if (a > 0) != (b > 0) and a * a > b * b * self.D else b
+        return 1 if lead > 0 else -1
 
     def __eq__(self, other):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.a == o.a and self.b == o.b:
-            return True
-        if self._degenerate_root() is not None:
-            return self._degenerate_value() == o._degenerate_value()
-        return False
+        return self.a == o.a and self.b == o.b
 
     def _compare(self, other, test):
         o = self._lift(other)
@@ -252,19 +229,14 @@ class QuadraticNumber:
 def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
     """Nonnegative square root of v inside Q(sqrt(D)), when one exists.
 
-    Solves c^2 + d^2 D = a, 2 c d = b over the rationals; the resulting
-    quadratic in c^2 has two candidate roots and both are tested.  Raises
-    NotAPerfectSquare when v is negative or no root lies in the field
-    (callers decide whether to fall back to floats).
+    A rational v (b = 0, always so when D is a perfect square) has root
+    sqrt(a) or sqrt(a/D)*sqrt(D).  Otherwise solves c^2 + d^2 D = a,
+    2 c d = b over the rationals; the resulting quadratic in c^2 has two
+    candidate roots and both are tested.  Raises NotAPerfectSquare when v
+    is negative or no root lies in the field (callers decide whether to
+    fall back to floats).
     """
     a, b, D = v.a, v.b, v.D
-    s = rational_sqrt(D)
-    if s is not None:
-        # degenerate field Q(sqrt(D)) = Q
-        r = rational_sqrt(a + b * s)
-        if r is None:
-            raise NotAPerfectSquare(f"{v} has no square root in Q")
-        return QuadraticNumber(r, 0, D)
     if v.sign() < 0:
         raise NotAPerfectSquare(f"{v} is negative")
     if b == 0:

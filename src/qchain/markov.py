@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact
 from .qcore import QParams, _q_binomial_row, eval_H_seq
-from .spectra import VerificationReport, _fail, _normalize_q, chi, chi_radical, index_set
+from .spectra import VerificationReport, _fail, _float_q, _normalize_q, chi, chi_radical, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -206,7 +206,7 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
         raise ValueError(f"kernel needs q > 1, got {q}")
     exact = _is_exact(q, y)
     if not exact:  # a float q or state puts the whole kernel in the float lane
-        q, y, sqrt_q = float(q), float(y), None if _is_exact(sqrt_q) else sqrt_q
+        q, y, sqrt_q = _float_q(q, y=y), float(y), None if _is_exact(sqrt_q) else sqrt_q
     sq = QParams.create(q, m, sqrt_q).sqrt_q
 
     ks = index_set(m)
@@ -371,8 +371,12 @@ class ChainConfig:
     max_state: float = 1e100
 
     def __post_init__(self):
-        if not self.q > 1:
-            raise ValueError(f"simulation needs q > 1, got {self.q}")
+        if not (self.q > 1 and math.isfinite(self.q)):
+            raise ValueError(f"simulation needs a finite q > 1, got {self.q}")
+        if not math.isfinite(self.initial_y):
+            raise ValueError(f"initial_y must be finite, got {self.initial_y}")
+        if not self.max_state > 0:
+            raise ValueError(f"max_state must be > 0, got {self.max_state}")
         if self.m < 2:
             raise ValueError("transition order m must be >= 2")
         if self.steps < 0:

@@ -214,7 +214,8 @@ def index_sumset(m: int, n: int) -> list[int]:
 def _lift_state(y, q):
     """Return (y, radical) with radical = sqrt(y^2 + 4/(q-1)) in y's backend.
 
-    Exact rationals are lifted into Q(sqrt(D)) with D = y^2 + 4/(q-1); a
+    Exact rationals are lifted into Q(sqrt(D)) with D = y^2 + 4/(q-1), where
+    the radical is sqrt(D) itself (a rational when D is a square); a
     QuadraticNumber state keeps its own field and the radical is extracted
     there (NotRepresentable when it does not exist).
     """
@@ -228,8 +229,7 @@ def _lift_state(y, q):
     if isinstance(y, (int, Fraction)):
         y = Fraction(y)
         D = y * y + Fraction(4) / (q - 1)
-        lifted = QuadraticNumber(y, 0, D)
-        return lifted, quad_sqrt(QuadraticNumber(D, 0, D))
+        return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D)
     return y, math.sqrt(y * y + 4.0 / (q - 1.0))
 
 
@@ -395,7 +395,6 @@ def verify_addition_formula(
     phi: float,
     q: float,
     rel_tol: float = 1e-8,
-    imag_tol: float = 1e-10,
     dps: int = 50,
 ) -> VerificationReport:
     """Three-way check of the product representation of the binomial-type
@@ -411,7 +410,7 @@ def verify_addition_formula(
     from 1, so all three quantities are evaluated with mpmath at `dps`
     digits and compared at rel_tol against their common scale
     max(1, |sides|); the imaginary part of (b), held to the same scale,
-    must vanish to imag_tol.
+    must vanish to 1e-10.
     """
     if n < 1:
         raise ValueError("verify_addition_formula needs n >= 1")
@@ -442,7 +441,7 @@ def verify_addition_formula(
         residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)
         imag = float(abs(pochhammer.imag) / scale)
         report.max_residual = _worst(residual, imag)
-        if not (residual <= rel_tol and imag <= imag_tol):
+        if not (residual <= rel_tol and imag <= 1e-10):
             sides = {"sum": float(summed), "pochhammer_product": complex(pochhammer), "t_product": float(product)}
             raise _fail(report, {**sides, "residual": residual, "imag": imag})
     return report

@@ -189,6 +189,16 @@ class TestSimulate:
             cli.main(["simulate", "--m", "2", "--y", "1", "--q", "4"])  # missing --steps
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("y, q", [("abc", "4"), ("1", "1/0")])
+    def test_malformed_scalar_exits_two(self, capsys, y, q):
+        code, _, err = run(capsys, "simulate", "--m", "2", "--y", y, "--q", q, "--steps", "3")
+        assert code == 2 and "cannot parse scalar" in err
+
+    def test_nan_state_bound_exits_three(self, capsys):
+        argv = ["simulate", "--m", "2", "--y", "1", "--q", "4", "--steps", "3", "--max-state", "nan"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and "max_state" in err
+
 
 class TestParser:
     def test_unknown_command(self):

@@ -122,6 +122,15 @@ class TestDegenerateDiscriminant:
         w = quad_sqrt(qn(Fraction(25, 4), 0, Fraction(25, 4)))
         assert w * w == qn(Fraction(25, 4), 0, Fraction(25, 4))
 
+    def test_one_representation_per_value(self):
+        # 1 + 1*sqrt(25/4) is stored as 7/2, so equal values agree everywhere
+        u, v = qn(1, 1, Fraction(25, 4)), qn(Fraction(7, 2), 0, Fraction(25, 4))
+        assert u.b == 0 and u.a == Fraction(7, 2)
+        assert u.conjugate() == v.conjugate() == Fraction(7, 2)
+        assert format_scalar(u) == format_scalar(v) == "7/2"
+        with pytest.raises(ZeroDivisionError):
+            v / qn(5, -2, Fraction(25, 4))
+
 
 class TestQuadSqrt:
     def test_rational_square(self):

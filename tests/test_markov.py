@@ -134,6 +134,19 @@ class TestBuildDistribution:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "b434697c65d5a44d45bb1a38925b8f4385da81b3d7c9093cb64d1938663f6168"
 
+    def test_exact_lane_is_pinned_where_the_field_is_rational(self):
+        # D = y^2 + 4/(q-1) is a perfect square at these states (9/4, 25/4
+        # and 16/9), so every support point and mass is rational
+        states = ((Fraction(25, 9), Fraction(0)), (Fraction(25, 9), Fraction(2)), (Q4, Fraction(2, 3)))
+        text = "".join(build_distribution(m, y, q).to_json() for q, y in states for m in range(2, 9))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "f5caac15b4288b5a74d1d0a20df2af60acdd5d0161d64e6e8329b25806d60bf6"
+
+    @pytest.mark.parametrize("y, q, name", [(math.nan, 4.0, "y"), (1.0, math.inf, "q"), (math.inf, 4.0, "y")])
+    def test_float_lane_names_a_non_finite_input(self, y, q, name):
+        with pytest.raises(ValueError, match=rf"{name} must be finite"):
+            build_distribution(2, y, q)
+
 
 class TestMomentLaw:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -338,6 +351,16 @@ class TestSimulate:
             ChainConfig(q=0.5, m=2, initial_y=1.0, steps=1)
         with pytest.raises(ValueError):
             ChainConfig(q=4.0, m=2, initial_y=1.0, steps=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("q", math.inf), ("q", math.nan), ("initial_y", math.nan), ("initial_y", -math.inf),
+         ("max_state", math.nan), ("max_state", 0.0)],
+    )
+    def test_config_names_a_bad_bound_or_non_finite_input(self, field, value):
+        kwargs = {"q": 4.0, "m": 2, "initial_y": 1.0, "steps": 1, field: value}
+        with pytest.raises(ValueError, match=field):
+            ChainConfig(**kwargs)
 
     def test_csv_files_and_metadata(self, tmp_path):
         cfg = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=3, seed=5)
