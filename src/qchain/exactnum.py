@@ -15,6 +15,8 @@ import math
 import operator
 from fractions import Fraction
 
+import mpmath
+
 Rational = Fraction
 
 __all__ = [
@@ -279,22 +281,23 @@ def _is_exact(*values) -> bool:
 
 
 def scalar_sqrt(v):
-    """Square root matching the backend of v.
+    """Square root matching the backend of v: the one place sqrt(q) is formed.
 
-    Floats use math.sqrt, complex uses cmath.sqrt; rationals and quadratic
-    numbers must be perfect squares in their field (NotAPerfectSquare
-    otherwise).
+    In the exact lane (_is_exact) a rational q must be a perfect rational
+    square (NotAPerfectSquare naming q otherwise) and a quadratic number a
+    perfect square in its field; floats use math.sqrt, complex cmath.sqrt
+    and mpmath numbers mpmath.sqrt at the working precision.
     """
+    if not _is_exact(v):
+        if isinstance(v, (mpmath.mpf, mpmath.mpc)):
+            return mpmath.sqrt(v)
+        return cmath.sqrt(v) if isinstance(v, complex) else math.sqrt(v)
     if isinstance(v, QuadraticNumber):
         return quad_sqrt(v)
-    if isinstance(v, (int, Fraction)):
-        r = rational_sqrt(v)
-        if r is None:
-            raise NotAPerfectSquare(f"{v} is not a perfect rational square")
-        return r
-    if isinstance(v, complex):
-        return cmath.sqrt(v)
-    return math.sqrt(v)
+    r = rational_sqrt(v)
+    if r is None:
+        raise NotAPerfectSquare(f"exact mode needs q to be a perfect rational square, got {v}")
+    return r
 
 
 def format_scalar(v) -> str:

@@ -197,7 +197,8 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     (qcore._q_binomial_row at 1/q).  Every factor lies in (0, 1]: float
     masses are within 1e-12 relative of the rounded exact ones up to
     |y| = 1e100, and from about |y| = 1.3e154 the build raises
-    DegenerateSupport.  `strict` runs check_masses on the result.
+    DegenerateSupport.  `strict` runs check_masses on the result; a given
+    sqrt_q is only checked against q (QParams.create), in both lanes.
     """
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
@@ -206,11 +207,11 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
         raise ValueError(f"kernel needs q > 1, got {q}")
     exact = _is_exact(q, y)
     if not exact:  # a float q or state puts the whole kernel in the float lane
-        q, y, sqrt_q = _float_q(q, y=y), float(y), None if _is_exact(sqrt_q) else sqrt_q
-    sq = QParams.create(q, m, sqrt_q).sqrt_q
+        q, y = _float_q(q, y=y), float(y)
+    QParams.create(q, m, sqrt_q)
 
     ks = index_set(m)
-    values = [chi(k, y, q, sq) for k in ks]
+    values = [chi(k, y, q) for k in ks]
 
     # support must consist of m distinct points (strictly increasing in k)
     for left, right in zip(values, values[1:]):
@@ -310,12 +311,12 @@ def _matches_direct(composed: ConditionalDistribution) -> tuple[float, bool]:
     return deviation, deviation <= (0.0 if composed.exact else 1e-9)
 
 
-def k_step_distribution(m: int, k: int, y, q, sqrt_q=None) -> ConditionalDistribution:
+def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
     """The k-step kernel: k composed one-step kernels of order m collapse
     to the single kernel of order k(m-1) + 1."""
     if k < 1:
         raise ValueError("step count k must be >= 1")
-    return build_distribution(k * (m - 1) + 1, y, q, sqrt_q)
+    return build_distribution(k * (m - 1) + 1, y, q)
 
 
 def verify_chapman_kolmogorov(
@@ -434,22 +435,23 @@ def simulate(config: ChainConfig) -> Trajectory:
     """Run the chain from y0 = config.initial_y for config.steps transitions.
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
-    step draws k in (m) from the kernel at i, built once per visited index,
-    and records chi_{i+k}(y0) computed directly from y0 in the float lane,
-    so a state's float is a function of its index.  Exceeding
-    config.max_state raises StateOverflow rather than continuing with
+    step draws k in (m) from the kernel at i and records chi_{i+k}(y0),
+    computed directly from y0 in the float lane, so a state's float is a
+    function of its index.  Both the kernel and chi_i(y0) are formed once
+    per visited index.  A recorded state beyond config.max_state, the start
+    revisited included, raises StateOverflow rather than continuing with
     overflowing floats.
     """
     rng = random.Random(config.seed)
-    q = float(config.q)
-    sq = math.sqrt(q)
-    y0 = float(config.initial_y)
-    index, states, kernels = 0, [y0], {}
+    q, y0 = float(config.q), float(config.initial_y)
+    index, states, kernels, lattice = 0, [y0], {}, {}
     for step in range(config.steps):
         if index not in kernels:  # built at this index's state, states[-1]
-            kernels[index] = build_distribution(config.m, states[-1], q, sqrt_q=sq)
+            kernels[index] = build_distribution(config.m, states[-1], q)
         index += _draw_index(kernels[index], rng)  # built here: drawn without check_masses
-        state = float(chi(index, y0, q, sq))
+        if index not in lattice:
+            lattice[index] = float(chi(index, y0, q))
+        state = lattice[index]
         if abs(state) > config.max_state:
             raise StateOverflow(
                 f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}"

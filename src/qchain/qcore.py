@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .exactnum import NotAPerfectSquare, _is_exact, scalar_sqrt
+from .exactnum import _is_exact, scalar_sqrt
 
 __all__ = [
     "q_bracket",
@@ -216,9 +216,9 @@ def eval_p_expansion(n: int, x, y, rho, q):
 class QParams:
     """Bundle (q, m, rho, sqrt_q) for a transition order m.
 
-    rho = q^{-(m-1)/2} is the one-step correlation; all half-integer
-    powers of q are taken through the stored sqrt_q, so exact mode
-    requires q to be the square of a rational.
+    rho = q^{-(m-1)/2} is the one-step correlation.  sqrt_q is formed from
+    q by scalar_sqrt, so exact mode requires q to be the square of a
+    rational; a caller-given sqrt_q is validated against q, never trusted.
     """
 
     q: object
@@ -233,12 +233,7 @@ class QParams:
         if isinstance(q, int):
             q = Fraction(q)
         if sqrt_q is None:
-            try:
-                sqrt_q = scalar_sqrt(q)
-            except NotAPerfectSquare as exc:
-                raise NotAPerfectSquare(
-                    f"exact mode needs q to be a perfect rational square, got {q}"
-                ) from exc
+            sqrt_q = scalar_sqrt(q)
         params = cls(q=q, m=m, rho=sqrt_q ** (-(m - 1)), sqrt_q=sqrt_q)
         params.validate()
         return params

@@ -171,12 +171,6 @@ def _normalize_q(q):
     return Fraction(q) if isinstance(q, int) else q
 
 
-def _resolve_sqrt_q(q, sqrt_q):
-    if sqrt_q is not None:
-        return sqrt_q
-    return scalar_sqrt(q)
-
-
 # ---------------------------------------------------------------------------
 # index sets
 # ---------------------------------------------------------------------------
@@ -214,11 +208,14 @@ def index_sumset(m: int, n: int) -> list[int]:
 def _lift_state(y, q):
     """Return (y, radical) with radical = sqrt(y^2 + 4/(q-1)) in y's backend.
 
-    Exact rationals are lifted into Q(sqrt(D)) with D = y^2 + 4/(q-1), where
-    the radical is sqrt(D) itself (a rational when D is a square); a
-    QuadraticNumber state keeps its own field and the radical is extracted
-    there (NotRepresentable when it does not exist).
+    In the exact lane (_is_exact of y and q) rationals are lifted into
+    Q(sqrt(D)) with D = y^2 + 4/(q-1), where the radical is sqrt(D) itself
+    (a rational when D is a square); a QuadraticNumber state keeps its own
+    field and the radical is extracted there (NotRepresentable when it does
+    not exist).
     """
+    if not _is_exact(y, q):
+        return y, math.sqrt(y * y + 4.0 / (q - 1.0))
     if isinstance(y, QuadraticNumber):
         try:
             return y, quad_sqrt(y * y + Fraction(4) / (q - 1))
@@ -226,21 +223,20 @@ def _lift_state(y, q):
             raise NotRepresentable(
                 f"sqrt({y}^2 + 4/(q-1)) leaves Q(sqrt({y.D}))"
             ) from exc
-    if isinstance(y, (int, Fraction)):
-        y = Fraction(y)
-        D = y * y + Fraction(4) / (q - 1)
-        return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D)
-    return y, math.sqrt(y * y + 4.0 / (q - 1.0))
+    y = Fraction(y)
+    D = y * y + Fraction(4) / (q - 1)
+    return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D)
 
 
-def chi(k: int, y, q, sqrt_q=None):
+def chi(k: int, y, q):
     """The support point with integer index k at conditioning state y:
 
         chi_k(y, q) = y (q^{k/2} + q^{-k/2}) / 2
                       + sqrt(y^2 + 4/(q-1)) (q^{k/2} - q^{-k/2}) / 2
 
     valid for every k in Z (k = 0 gives y back); chi_{+n} and chi_{-n}
-    are the two roots of v_n(x, -y, q).  Requires q > 1.
+    are the two roots of v_n(x, -y, q).  Requires q > 1.  q^{k/2} is
+    scalar_sqrt(q)^k, so an exact q must be a perfect rational square.
 
     Exact states give the exact value in Q(sqrt(D)).  For float states,
     when the y term (even) and the radical term (odd) have opposite signs
@@ -253,7 +249,7 @@ def chi(k: int, y, q, sqrt_q=None):
     q = _normalize_q(q)
     if not q > 1:
         raise ValueError(f"chi needs q > 1, got {q}")
-    sq = _resolve_sqrt_q(q, sqrt_q)
+    sq = scalar_sqrt(q)
     y, radical = _lift_state(y, q)
     qk = sq**k
     qk_inv = 1 / qk
@@ -273,7 +269,7 @@ def chi_radical(y, q):
     return _lift_state(y, q)[1]
 
 
-def _quadratic_factor(name: str, n: int, x, y, q, sqrt_q, divisor):
+def _quadratic_factor(name: str, n: int, x, y, q, divisor):
     """x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) + (q^n + q^{-n} - 2)/divisor(q)
     for n >= 1 and x + y for n = 0: v_factor and t_factor differ in divisor."""
     if n < 0:
@@ -283,24 +279,24 @@ def _quadratic_factor(name: str, n: int, x, y, q, sqrt_q, divisor):
     q = _normalize_q(q)
     if divisor(q) == 0:
         raise ValueError(f"{name} needs q != 1 for n >= 1")
-    qn_half = _resolve_sqrt_q(q, sqrt_q) ** n
+    qn_half = scalar_sqrt(q) ** n
     qn = qn_half * qn_half
     return x * x + y * y + x * y * (qn_half + 1 / qn_half) + (qn + 1 / qn - 2) / divisor(q)
 
 
-def v_factor(n: int, x, y, q, sqrt_q=None):
+def v_factor(n: int, x, y, q):
     """Quadratic factor v_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
     - (q^n + q^{-n} - 2)/(q - 1) for n >= 1; v_0 = x + y."""
-    return _quadratic_factor("v_factor", n, x, y, q, sqrt_q, lambda q: 1 - q)
+    return _quadratic_factor("v_factor", n, x, y, q, lambda q: 1 - q)
 
 
-def t_factor(n: int, x, y, q, sqrt_q=None):
+def t_factor(n: int, x, y, q):
     """Companion factor t_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
     + (q^n + q^{-n} - 2)/4 for n >= 1; t_0 = x + y."""
-    return _quadratic_factor("t_factor", n, x, y, q, sqrt_q, lambda q: 4)
+    return _quadratic_factor("t_factor", n, x, y, q, lambda q: 4)
 
 
-def eval_sum_form(m: int, x, y, q, sqrt_q=None):
+def eval_sum_form(m: int, x, y, q):
     """The degree-m connection sum
 
         sum_k qbinom(m,k) q^{-(m-1)(m-k)/2} B_{m-k}(y|q) H_k(x|q),
@@ -309,11 +305,10 @@ def eval_sum_form(m: int, x, y, q, sqrt_q=None):
     if m < 0:
         raise ValueError("eval_sum_form needs m >= 0")
     q = _normalize_q(q)
-    sq = _resolve_sqrt_q(q, sqrt_q)
-    return eval_p_expansion(m, x, y, sq ** (-(m - 1)) if m >= 1 else 1, q)
+    return eval_p_expansion(m, x, y, scalar_sqrt(q) ** (-(m - 1)) if m >= 1 else 1, q)
 
 
-def eval_product_form(m: int, x, y, q, sqrt_q=None):
+def eval_product_form(m: int, x, y, q):
     """The factorized route to p_m(x | y, q^{-(m-1)/2}, q):
 
         prod_{j=1..i} v_{2j-1}(x,-y,q)   for m = 2i,
@@ -324,11 +319,10 @@ def eval_product_form(m: int, x, y, q, sqrt_q=None):
     q = _normalize_q(q)
     if q == 1:
         raise ValueError("eval_product_form needs q != 1")
-    sq = _resolve_sqrt_q(q, sqrt_q)
     neg_y = -y
     out = 1
     for n in _factor_degrees(m):
-        out = out * v_factor(n, x, neg_y, q, sq)
+        out = out * v_factor(n, x, neg_y, q)
     return out
 
 
@@ -365,7 +359,9 @@ def verify_factorization(
     (recurrence, connection sum, v-factor product) against each other on a
     grid of (x, y) pairs large enough to pin a bivariate degree-m identity.
     The default grid is rational; in the float lane q and every point must
-    be finite.
+    be finite.  A given sqrt_q sets only the recurrence route's rho =
+    sqrt_q^{-(m-1)}; the other two routes form sqrt(q) from q, so a sqrt_q
+    inconsistent with q shows as a counterexample.
     """
     q = _normalize_q(q)
     if sample_points is None:
@@ -377,13 +373,12 @@ def verify_factorization(
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
-    sq = _resolve_sqrt_q(q, sqrt_q)
-    rho = sq ** (-(m - 1))
+    rho = (scalar_sqrt(q) if sqrt_q is None else sqrt_q) ** (-(m - 1))
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
     for x, y in sample_points:
         recur = eval_p(m, x, y, rho, q)
-        summed = eval_sum_form(m, x, y, q, sq)
-        product = eval_product_form(m, x, y, q, sq)
+        summed = eval_sum_form(m, x, y, q)
+        product = eval_product_form(m, x, y, q)
         witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
         _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report
@@ -432,10 +427,9 @@ def verify_addition_formula(
         for angle in (mpmath.mpf(theta) + mpmath.mpf(phi), -mpmath.mpf(theta) + mpmath.mpf(phi)):
             pochhammer *= q_pochhammer(-shift * mpmath.e ** (1j * angle), mq, n)
 
-        sqrt_mq = mpmath.sqrt(mq)
         product = mpmath.mpf(2) ** n
         for d in _factor_degrees(n):
-            product *= t_factor(d, x, y, mq, sqrt_mq)
+            product *= t_factor(d, x, y, mq)
 
         real, scale = pochhammer.real, max(1.0, abs(summed), abs(product))
         residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)
@@ -500,7 +494,6 @@ def verify_chi_properties(
     n: int,
     y,
     q,
-    sqrt_q=None,
     rel_tol: float = 1e-9,
 ) -> VerificationReport:
     """Check the two structural properties of the root family:
@@ -518,7 +511,7 @@ def verify_chi_properties(
     exact = _is_exact(q, y)
     if not exact:
         q, y = float(q), float(y)
-    sq = _resolve_sqrt_q(q, sqrt_q)
+    sq = scalar_sqrt(q)
     report = VerificationReport(
         "chi-properties", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"}
     )
@@ -526,13 +519,13 @@ def verify_chi_properties(
     lifted, radical = _lift_state(y, q)
     qm = sq**m
     root = (lifted * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
-    chi_m = chi(m, y, q, sq)
+    chi_m = chi(m, y, q)
     lhs = chi_m * chi_m + 4 / (q - 1)
     pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
     _check(report, exact, pairs, rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
 
-    composed = chi(m, chi(n, y, q, sq), q, sq)
-    direct = chi(m + n, y, q, sq)
+    composed = chi(m, chi(n, y, q), q)
+    direct = chi(m + n, y, q)
     witness = {"property": "composition", "chi_m(chi_n)": composed, "chi_{m+n}": direct}
     _check(report, exact, [(composed, direct)], rel_tol, witness)
     return report

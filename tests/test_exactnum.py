@@ -185,6 +185,12 @@ class TestScalarSqrt:
         with pytest.raises(NotAPerfectSquare):
             scalar_sqrt(Fraction(2))
 
+    def test_mpmath_keeps_the_working_precision(self):
+        with mpmath.mp.workdps(50):
+            root = scalar_sqrt(mpmath.mpf(2))
+            assert isinstance(root, mpmath.mpf)
+            assert root == mpmath.sqrt(2)
+
 
 class TestFloatConversion:
     @staticmethod

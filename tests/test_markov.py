@@ -142,6 +142,19 @@ class TestBuildDistribution:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "f5caac15b4288b5a74d1d0a20df2af60acdd5d0161d64e6e8329b25806d60bf6"
 
+    def test_float_lane_is_pinned(self):
+        # sha256 of the concatenated float kernel JSON over y in [-10, 10]:
+        # any change to a float support point or mass shows here
+        ys = [i / 4 for i in range(-40, 41)]
+        text = "".join(build_distribution(m, y, q).to_json() for q in (2.25, 4.0, 16.0) for y in ys for m in (2, 3, 4, 7))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "95477a7517fd35521a8f18e9c9778dae70560b0ec9dea226fb39f580035354b1"
+
+    @pytest.mark.parametrize("y, q", [(1.0, 4.0), (Y1, Q4)])
+    def test_inconsistent_sqrt_q_is_refused_in_both_lanes(self, y, q):
+        with pytest.raises(ValueError):
+            build_distribution(3, y, q, Fraction(3))
+
     @pytest.mark.parametrize("y, q, name", [(math.nan, 4.0, "y"), (1.0, math.inf, "q"), (math.inf, 4.0, "y")])
     def test_float_lane_names_a_non_finite_input(self, y, q, name):
         with pytest.raises(ValueError, match=rf"{name} must be finite"):
@@ -345,6 +358,25 @@ class TestSimulate:
         cfg = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=500, seed=1, max_state=2.0)
         with pytest.raises(StateOverflow):
             simulate(cfg)
+
+    def test_start_beyond_the_bound_overflows_on_its_first_revisit(self):
+        # seed 2 draws k = 0 first, so step 1 lands on index 0, the start
+        # itself, which already exceeds max_state
+        cfg = ChainConfig(q=4.0, m=3, initial_y=5.0, steps=10, seed=2, max_state=4.0)
+        start = build_distribution(3, 5.0, 4.0)
+        assert start.mass(-2) <= random.Random(2).random() < start.mass(-2) + start.mass(0)
+        with pytest.raises(StateOverflow, match=r"^\|state\| = 5 exceeded bound 4 at step 1$"):
+            simulate(cfg)
+
+    def test_float_paths_are_pinned(self):
+        # sha256 of the concatenated trajectory CSVs: any change to a
+        # sampled index or a recorded float shows here
+        text = "".join(
+            simulate(ChainConfig(q=q, m=m, initial_y=1.3, steps=2000, seed=seed)).to_csv()
+            for m in (2, 3, 4) for q in (4.0, 16.0) for seed in range(5)
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "01cd68872882ac8f017316f490f7bb300b90969f9451e49beb179f2ec2064e96"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

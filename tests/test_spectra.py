@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchain.exactnum import QuadraticNumber
+from qchain.exactnum import NotAPerfectSquare, QuadraticNumber
 from qchain.markov import verify_chapman_kolmogorov
 from qchain.qcore import eval_h_seq, eval_p, q_binomial
 from qchain.spectra import (
@@ -275,6 +275,13 @@ class TestAdditionFormula:
         report = verify_addition_formula(12, 2.4108844952150457, 0.023663148975593375, 16.0)
         assert report.passed and report.max_residual < 1e-40
 
+    @pytest.mark.parametrize("n", [3, 8, 12])
+    @pytest.mark.parametrize("q", [1.5, 4.0, 16.0])
+    def test_residual_stays_at_the_working_precision(self, n, q):
+        # every side, the t-factor product's sqrt(q) included, is formed at
+        # 50 digits: a 53-bit sqrt(q) would leave residuals near 1e-16
+        assert verify_addition_formula(n, 1.1, 0.4, q).max_residual < 1e-48
+
 
 class TestHermiteRelations:
     def test_trivial_degree(self):
@@ -405,6 +412,21 @@ class TestVerdicts:
     )
     def test_non_finite_inputs_name_their_parameter(self, name, call):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: chi(1, Fraction(1), Fraction(2)),
+            lambda: v_factor(1, Fraction(1), Fraction(1), Fraction(2)),
+            lambda: eval_sum_form(3, Fraction(1), Fraction(1), Fraction(2)),
+            lambda: eval_product_form(2, Fraction(1), Fraction(1), Fraction(2)),
+            lambda: verify_chi_properties(1, 1, Fraction(1), Fraction(2)),
+            lambda: verify_factorization(2, Fraction(2)),
+        ],
+    )
+    def test_a_non_square_exact_q_is_named(self, call):
+        with pytest.raises(NotAPerfectSquare, match=r"^exact mode needs q to be a perfect rational square, got 2$"):
             call()
 
     def test_float_points_put_factorization_in_the_float_lane(self):
