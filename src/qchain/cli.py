@@ -47,7 +47,7 @@ class CLIParseError(ValueError):
 def _scalar(text: str, mode: str):
     try:
         return Fraction(text) if mode == "exact" else float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise CLIParseError(f"cannot parse scalar {text!r}: {exc}") from exc
 
 

@@ -1,18 +1,18 @@
 """Exact scalar backends: arbitrary-precision rationals and the quadratic
 extension field Q(sqrt(D)).
 
-``Rational`` is an alias for :class:`fractions.Fraction`, which already
-provides reduced arbitrary-precision rationals.  :class:`QuadraticNumber`
-adjoins a single square root ``sqrt(D)`` to the rationals; every quantity
-the exact pipeline produces (support points, masses, radicals) lives in
-one such field, fixed per run by the initial state.
+``Rational`` is an alias for :class:`fractions.Fraction`.  Every quantity the
+exact pipeline produces (support points, masses, radicals) lives in one field
+Q(sqrt(D)), fixed per run by the initial state; :class:`QuadraticNumber` holds
+it as reduced integers (A + B*sqrt(N))/C, so a field operation is a few
+integer products and one gcd, with no Fraction in between.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import operator
 from fractions import Fraction
 
 import mpmath
@@ -42,7 +42,7 @@ class NotAPerfectSquare(ArithmeticError):
 
 def rational_sqrt(x) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    if type(x) is not Fraction:  # as in QuadraticNumber(): skip Fraction's ABC check
+    if type(x) is not Fraction:  # Fraction(Fraction) would pay an ABC check
         x = Fraction(x)
     if x.numerator < 0:
         return None
@@ -58,103 +58,103 @@ def _log2(x: Fraction) -> int:
     return x.numerator.bit_length() - x.denominator.bit_length()
 
 
+def _on_coords(op):
+    """A binary method running op(self, A, B, C) on the integer coordinates
+    of the other operand: those of a QuadraticNumber of the same D, or
+    (p, 0, q) for an int, bool or Fraction p/q; NotImplemented otherwise."""
+
+    @functools.wraps(op)
+    def method(self, other):
+        if type(other) is QuadraticNumber:
+            if other._F is not self._F and other._F[:2] != self._F[:2]:
+                raise DiscriminantMismatch(f"sqrt({self.D}) vs sqrt({other.D})")
+            return op(self, other._A, other._B, other._C)
+        if isinstance(other, (int, Fraction)):
+            return op(self, other.numerator, 0, other.denominator)
+        return NotImplemented
+
+    return method
+
+
+@functools.total_ordering
 class QuadraticNumber:
     """An element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)).
 
-    ``a``, ``b``, ``D`` are rationals with D >= 0.  Arithmetic only
-    combines numbers sharing the same D (plain ints/Fractions are lifted
-    automatically).  Comparisons and sign are decided by exact rational
-    inequalities, never by floating point.
-
-    Every value has exactly one representation: b != 0 only when sqrt(D)
-    is irrational.  When D is a perfect rational square the field is Q,
-    and the constructor folds a + b*sqrt(D) into (a + b*sqrt(D), 0), so
-    equality is component equality and a nonzero value has a nonzero norm.
+    Stored as reduced integers (A + B*sqrt(N))/C with N = D.numerator *
+    D.denominator (sqrt(D) = sqrt(N)/D.denominator), C > 0 and gcd(A, B,
+    C) = 1; ``a``, ``b`` and the given ``D`` read back as Fractions.  Each
+    value has one representation: B != 0 only when N is not a perfect
+    square, which one isqrt(N) tests when a value is built from outside
+    a, b, D (a square field folds into Q).  Arithmetic within one field
+    never needs that test and builds QuadraticNumber(A, B, (C, field));
+    sign and comparisons are integer inequalities, never floating point.
     """
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("_A", "_B", "_C", "_F")
 
     def __init__(self, a, b, D):
-        # arithmetic passes Fractions; Fraction(Fraction) would pay an ABC check
-        self.a = a if type(a) is Fraction else Fraction(a)
-        self.b = b if type(b) is Fraction else Fraction(b)
-        self.D = D if type(D) is Fraction else Fraction(D)
-        if self.D < 0:
-            raise ValueError(f"negative discriminant {self.D}: field must be real")
-        if self.b:
-            s = rational_sqrt(self.D)
-            if s is not None:
-                self.a, self.b = self.a + self.b * s, Fraction(0)
+        if type(D) is tuple:  # (C, field) from arithmetic, with integers a, b
+            C, self._F = D
+        else:
+            a, b, D = Fraction(a), Fraction(b), Fraction(D)
+            if D < 0:
+                raise ValueError(f"negative discriminant {D}: field must be real")
+            d = D.denominator
+            N = D.numerator * d
+            self._F = (N, d, D)  # the field: sqrt(D) = sqrt(N)/d
+            a, b, C = a.numerator * b.denominator * d, b.numerator * a.denominator, a.denominator * b.denominator * d
+            s = math.isqrt(N)
+            if s * s == N:  # the field is Q: fold b*sqrt(D) into a
+                a, b = a + b * s, 0
+        g = math.gcd(a, b, C) if C > 0 else -math.gcd(a, b, C)
+        if g != 1:
+            a, b, C = a // g, b // g, C // g
+        self._A, self._B, self._C = a, b, C
 
-    def _lift(self, other) -> "QuadraticNumber":
-        if isinstance(other, QuadraticNumber):
-            if other.D != self.D:
-                raise DiscriminantMismatch(f"sqrt({self.D}) vs sqrt({other.D})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other, 0, self.D)
-        return NotImplemented
+    a = property(lambda self: Fraction(self._A, self._C))
+    b = property(lambda self: Fraction(self._B * self._F[1], self._C))
+    D = property(lambda self: self._F[2])
 
     # -- field arithmetic -------------------------------------------------
 
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticNumber(self.a + o.a, self.b + o.b, self.D)
+    @_on_coords
+    def __add__(self, A, B, C):
+        return QuadraticNumber(self._A * C + A * self._C, self._B * C + B * self._C, (self._C * C, self._F))
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticNumber(self.a - o.a, self.b - o.b, self.D)
+    @_on_coords
+    def __sub__(self, A, B, C):
+        return QuadraticNumber(self._A * C - A * self._C, self._B * C - B * self._C, (self._C * C, self._F))
 
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticNumber(o.a - self.a, o.b - self.b, self.D)
+    @_on_coords
+    def __rsub__(self, A, B, C):
+        return QuadraticNumber(A * self._C - self._A * C, B * self._C - self._B * C, (self._C * C, self._F))
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.D)
+        return QuadraticNumber(-self._A, -self._B, (self._C, self._F))
 
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * self.D,
-            self.a * o.b + self.b * o.a,
-            self.D,
-        )
+    @_on_coords
+    def __mul__(self, A, B, C):
+        sA, sB = self._A, self._B
+        return QuadraticNumber(sA * A + sB * B * self._F[0], sA * B + sB * A, (self._C * C, self._F))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # multiply by the conjugate; the norm a^2 - b^2 D vanishes only at 0
-        nrm = o.a * o.a - o.b * o.b * o.D
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        return self * QuadraticNumber(o.a / nrm, -o.b / nrm, self.D)
+    @_on_coords
+    def __truediv__(self, A, B, C):
+        return _quotient(self._A, self._B, self._C, A, B, C, self._F)
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
+    @_on_coords
+    def __rtruediv__(self, A, B, C):
+        return _quotient(A, B, C, self._A, self._B, self._C, self._F)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return 1 / self ** (-n)
-        out = QuadraticNumber(1, 0, self.D)
-        base = self
+        out, base = QuadraticNumber(1, 0, (1, self._F)), self
         while n:
             if n & 1:
                 out = out * base
@@ -163,44 +163,24 @@ class QuadraticNumber:
         return out
 
     def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.D)
+        return QuadraticNumber(self._A, -self._B, (self._C, self._F))
 
-    # -- exact comparisons ------------------------------------------------
+    # -- exact comparisons (total_ordering adds <=, >, >=) ------------------
 
     def sign(self) -> int:
-        """Sign of a + b*sqrt(D), computed by rational comparisons alone."""
-        a, b = self.a, self.b
-        if not b:
-            return (a > 0) - (a < 0)
-        # b != 0 makes sqrt(D) irrational, so a^2 != b^2 D: b*sqrt(D) sets
-        # the sign unless a has the other sign and the larger square
-        lead = a if (a > 0) != (b > 0) and a * a > b * b * self.D else b
-        return 1 if lead > 0 else -1
+        """Sign of a + b*sqrt(D), computed by integer comparisons alone."""
+        return _sign(self._A, self._B, self._F[0])
 
-    def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
+    @_on_coords
+    def __eq__(self, A, B, C):
+        return A == self._A and B == self._B and C == self._C
 
-    def _compare(self, other, test):
-        o = self._lift(other)
-        return o if o is NotImplemented else test((self - o).sign(), 0)
-
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
+    @_on_coords
+    def __lt__(self, A, B, C):
+        return _sign(self._A * C - A * self._C, self._B * C - B * self._C, self._F[0]) < 0
 
     def __bool__(self):
-        return self.sign() != 0
+        return bool(self._A or self._B)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -208,10 +188,11 @@ class QuadraticNumber:
     def __float__(self):
         # a + b sqrt(D) = 2^e (a' + b' sqrt(D')) with |a'|, |b' sqrt(D')| <~ 1
         # and D' near 1, so no term underflows or overflows on conversion
-        t = _log2(self.D) // 2
-        D = self.D / Fraction(4) ** t
-        e = max((_log2(x) for x in (self.a, self.b * Fraction(2) ** t) if x), default=0)
-        a, b = self.a / Fraction(2) ** e, self.b * Fraction(2) ** (t - e)
+        a, b, D = self.a, self.b, self.D
+        t = _log2(D) // 2
+        D = D / Fraction(4) ** t
+        e = max((_log2(x) for x in (a, b * Fraction(2) ** t) if x), default=0)
+        a, b = a / Fraction(2) ** e, b * Fraction(2) ** (t - e)
         root = math.sqrt(float(D))
         if a < 0 < b or b < 0 < a:
             # a and b*sqrt(D) cancel: divide the exact norm, scaled apart, by the conjugate
@@ -224,8 +205,27 @@ class QuadraticNumber:
         return f"QuadraticNumber({self.a}, {self.b}, {self.D})"
 
     def __str__(self):
-        sign = "-" if self.b < 0 else "+"
-        return f"{self.a} {sign} {abs(self.b)}*sqrt({self.D})"
+        b = self.b
+        return f"{self.a} {'-' if b < 0 else '+'} {abs(b)}*sqrt({self.D})"
+
+
+def _sign(A: int, B: int, N: int) -> int:
+    """Sign of A + B*sqrt(N), where B != 0 only when sqrt(N) is irrational."""
+    if not B:
+        return (A > 0) - (A < 0)
+    # A^2 != B^2 N: B*sqrt(N) sets the sign unless A has the other sign and the larger square
+    lead = A if (A > 0) != (B > 0) and A * A > B * B * N else B
+    return 1 if lead > 0 else -1
+
+
+def _quotient(A1, B1, C1, A2, B2, C2, F) -> QuadraticNumber:
+    """(A1 + B1 sqrt(N))/C1 over (A2 + B2 sqrt(N))/C2 in the field F: times
+    the conjugate of the divisor, whose norm A2^2 - B2^2 N vanishes only at 0."""
+    N = F[0]
+    norm = A2 * A2 - B2 * B2 * N
+    if norm == 0:
+        raise ZeroDivisionError("division by zero quadratic number")
+    return QuadraticNumber((A1 * A2 - B1 * B2 * N) * C2, (B1 * A2 - A1 * B2) * C2, (C1 * norm, F))
 
 
 def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
@@ -304,7 +304,7 @@ def format_scalar(v) -> str:
     """Render a scalar for serialization: "p/q" rationals, "a + b*sqrt(D)"
     quadratic numbers (pure-rational ones collapse to "p/q"), repr floats."""
     if isinstance(v, QuadraticNumber):
-        if v.b == 0:
+        if not v._B:
             return str(v.a)
         return str(v)
     if isinstance(v, (int, Fraction)):

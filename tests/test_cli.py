@@ -194,6 +194,19 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--m", "2", "--y", y, "--q", q, "--steps", "3")
         assert code == 2 and "cannot parse scalar" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dist", "--m", "2", "--y", "1e400", "--q", "4", "--mode", "float"],
+            ["dist", "--m", "2", "--y", "1", "--q", "1e400", "--mode", "float"],
+            ["simulate", "--m", "2", "--y", "1e400", "--q", "4", "--steps", "3"],
+            ["simulate", "--m", "2", "--y", "1", "--q", "1e400", "--steps", "3"],
+        ],
+    )
+    def test_out_of_range_scalar_exits_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cannot parse scalar '1e400'" in err
+
     def test_nan_state_bound_exits_three(self, capsys):
         argv = ["simulate", "--m", "2", "--y", "1", "--q", "4", "--steps", "3", "--max-state", "nan"]
         code, _, err = run(capsys, *argv)

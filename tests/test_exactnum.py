@@ -106,6 +106,125 @@ class TestQuadraticArithmetic:
         assert not small < small
 
 
+# non-integer, non-squarefree and non-square D, then two square fields
+ORACLE_DISCRIMINANTS = [8, Fraction(12, 5), Fraction(50, 27), Fraction(7, 3), Fraction(9, 4), 0]
+plain_operands = st.one_of(st.integers(-30, 30), st.booleans(), rationals)
+
+
+class Pair:
+    """a + b*sqrt(D) as a pair of Fractions, folded to (a + b*sqrt(D), 0)
+    when D is a rational square: an oracle for the integer coordinates."""
+
+    def __init__(self, a, b, D):
+        self.a, self.b, self.D = Fraction(a), Fraction(b), Fraction(D)
+        n, d = self.D.numerator, self.D.denominator
+        if math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d:
+            self.a, self.b = self.a + self.b * Fraction(math.isqrt(n), math.isqrt(d)), Fraction(0)
+
+    def lift(self, x):
+        return x if isinstance(x, Pair) else Pair(x, 0, self.D)
+
+    def __add__(self, other):
+        o = self.lift(other)
+        return Pair(self.a + o.a, self.b + o.b, self.D)
+
+    def __neg__(self):
+        return Pair(-self.a, -self.b, self.D)
+
+    def __mul__(self, other):
+        o = self.lift(other)
+        return Pair(self.a * o.a + self.b * o.b * self.D, self.a * o.b + self.b * o.a, self.D)
+
+    def inverse(self):
+        norm = self.a * self.a - self.b * self.b * self.D
+        return Pair(self.a / norm, -self.b / norm, self.D)
+
+    def sign(self):
+        sa, sb = (self.a > 0) - (self.a < 0), (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa in (0, sb):
+            return sb or sa
+        return sa if self.a * self.a > self.b * self.b * self.D else sb
+
+
+def _pair_of(x, D):
+    return Pair(x.a, x.b, x.D) if isinstance(x, QuadraticNumber) else Pair(x, 0, D)
+
+
+def _reference(op, x, y, D):
+    rx, ry = _pair_of(x, D), _pair_of(y, D)
+    if op == "+":
+        return rx + ry
+    if op == "-":
+        return rx + -ry
+    if op == "*":
+        return rx * ry
+    return rx * ry.inverse()
+
+
+OPERATIONS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+
+
+class TestAgainstFractionPairs:
+    """The integer-coordinate arithmetic against the Pair oracle, over
+    fields with N = D.numerator * D.denominator far from D itself."""
+
+    @staticmethod
+    def assert_matches(value, ref, D):
+        assert isinstance(value, QuadraticNumber)
+        assert all(type(x) is Fraction for x in (value.a, value.b, value.D))
+        assert value.D == D and (value.a, value.b) == (ref.a, ref.b), (value, ref.a, ref.b)
+        # the same value built from outside is equal, with the same sign
+        assert value == qn(ref.a, ref.b, D) and value.sign() == ref.sign()
+
+    @given(a1=rationals, b1=rationals, a2=rationals, b2=rationals, p=plain_operands, D=st.sampled_from(ORACLE_DISCRIMINANTS))
+    @settings(max_examples=150, deadline=None)
+    def test_field_operations(self, a1, b1, a2, b2, p, D):
+        u, v = qn(a1, b1, D), qn(a2, b2, D)
+        for x, y in ((u, v), (u, p), (p, u), (u, u)):
+            for op, apply in OPERATIONS.items():
+                if op == "/" and _pair_of(y, D).sign() == 0:
+                    with pytest.raises(ZeroDivisionError):
+                        apply(x, y)
+                    continue
+                self.assert_matches(apply(x, y), _reference(op, x, y, D), D)
+        self.assert_matches(-u, -_pair_of(u, D), D)
+        irrational = Pair(0, 1, D).b != 0  # over a square D the field is Q and conjugation is the identity
+        self.assert_matches(u.conjugate(), Pair(a1, -b1 if irrational else b1, D), D)
+
+    @given(a=rationals, b=rationals, n=st.integers(-5, 5), D=st.sampled_from(ORACLE_DISCRIMINANTS))
+    @settings(max_examples=100, deadline=None)
+    def test_powers(self, a, b, n, D):
+        u, ref = qn(a, b, D), Pair(a, b, D)
+        if n < 0 and ref.sign() == 0:
+            with pytest.raises(ZeroDivisionError):
+                u**n
+            return
+        expected = Pair(1, 0, D)
+        for _ in range(abs(n)):
+            expected = expected * ref
+        self.assert_matches(u**n, expected if n >= 0 else expected.inverse(), D)
+
+    @given(a1=rationals, b1=rationals, a2=rationals, b2=rationals, p=plain_operands, D=st.sampled_from(ORACLE_DISCRIMINANTS))
+    @settings(max_examples=150, deadline=None)
+    def test_sign_and_order(self, a1, b1, a2, b2, p, D):
+        u, v = qn(a1, b1, D), qn(a2, b2, D)
+        assert u.sign() == Pair(a1, b1, D).sign()
+        assert bool(u) == (Pair(a1, b1, D).sign() != 0)
+        for x, y in ((u, v), (u, p), (p, u), (v, v)):
+            gap = _reference("-", x, y, D).sign()
+            assert (x < y, x <= y, x == y, x >= y, x > y) == (gap < 0, gap <= 0, gap == 0, gap >= 0, gap > 0)
+
+    @given(a=rationals, b=rationals, D=st.sampled_from(ORACLE_DISCRIMINANTS), other=st.sampled_from(ORACLE_DISCRIMINANTS))
+    @settings(max_examples=40, deadline=None)
+    def test_fields_do_not_mix(self, a, b, D, other):
+        if Fraction(D) == Fraction(other):
+            return
+        u, w = qn(a, b, D), qn(a, b, other)
+        for apply in [*OPERATIONS.values(), lambda x, y: x == y, lambda x, y: x < y]:
+            with pytest.raises(DiscriminantMismatch):
+                apply(u, w)
+
+
 class TestDegenerateDiscriminant:
     # D = 25/4 is a perfect square, so Q(sqrt(D)) is just Q
     def test_value_equality(self):

@@ -142,6 +142,14 @@ class TestBuildDistribution:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "f5caac15b4288b5a74d1d0a20df2af60acdd5d0161d64e6e8329b25806d60bf6"
 
+    def test_exact_lane_is_pinned_at_the_benchmark_orders(self):
+        # the orders m = 10..12 that exact builds reach beyond the pin above
+        qs = (Q4, Fraction(9, 4))
+        ys = (Fraction(-137, 23), Y1, Fraction(-3, 7), Fraction(5, 2))
+        text = "".join(build_distribution(m, y, q).to_json() for q in qs for y in ys for m in range(10, 13))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7a9955a16975ef5756e84530e2c8eb4db63b13becbb629499a37446ca8027318"
+
     def test_float_lane_is_pinned(self):
         # sha256 of the concatenated float kernel JSON over y in [-10, 10]:
         # any change to a float support point or mass shows here
@@ -210,6 +218,18 @@ class TestComposition:
     def test_k_step_equals_composition_chain(self):
         chained = compose(compose(build_distribution(2, Y1, Q4), 2), 2)
         assert chained.max_deviation(k_step_distribution(2, 3, Y1, Q4)) == 0.0
+
+    def test_composed_kernels_are_pinned(self):
+        # inner kernels sit at quadratic states, whose radicals come from
+        # quad_sqrt: any change to a composed support point or mass shows here
+        qs = (Q4, Fraction(9, 4))
+        ys = (Y1, Fraction(-3, 7), Fraction(5, 2))
+        orders = ((2, 2), (3, 2), (2, 3))
+        text = "".join(
+            compose(build_distribution(m, y, q), n, check=False).to_json() for q in qs for y in ys for m, n in orders
+        )
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "f9d3becdd65c87f79dff2138120efbd77edfa8b7be17757d61e6bfa2323a6e4f"
 
     def test_inner_order_validated(self):
         with pytest.raises(ValueError):
