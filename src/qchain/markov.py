@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact
 from .qcore import QParams, _q_binomial_row, eval_H_seq
-from .spectra import VerificationReport, _fail, _float_q, _normalize_q, chi, chi_radical, index_set
+from .spectra import VerificationReport, _chi, _fail, _float_q, _lift_state, chi, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -190,7 +190,8 @@ class ConditionalDistribution:
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y.
 
-    Support points come from chi; masses are the Christoffel numbers
+    One spectra._lift_state of y gives every support point (through
+    spectra._chi) and z; masses are the Christoffel numbers
     [m-1 choose j]_{1/q} prod_{i<k} 1/(1 + z q^{(k+i)/2})
     prod_{i>k} 1/(1 + z^{-1} q^{-(k+i)/2}) of the module docstring, one
     loop for both lanes, the binomials read from one q-Pascal row
@@ -202,16 +203,15 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     """
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
-    q = _normalize_q(q)
-    if not q > 1:
-        raise ValueError(f"kernel needs q > 1, got {q}")
-    exact = _is_exact(q, y)
+    lifted, radical, sq, q = _lift_state(y, q)
+    exact = _is_exact(q)
     if not exact:  # a float q or state puts the whole kernel in the float lane
-        q, y = _float_q(q, y=y), float(y)
+        y = lifted
+        _float_q(q, y=y)
     QParams.create(q, m, sqrt_q)
 
     ks = index_set(m)
-    values = [chi(k, y, q) for k in ks]
+    values = [_chi(k, lifted, radical, sq, q) for k in ks]
 
     # support must consist of m distinct points (strictly increasing in k)
     for left, right in zip(values, values[1:]):
@@ -220,7 +220,7 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
 
     # z = e^{2 theta} and 1/z, with e^{2|theta|} >= 1 formed from |y| so that
     # y + sqrt(D) never cancels; the factors depend on e = (k+i)/2 alone
-    s = abs(y) + chi_radical(y, q)
+    s = abs(y) + radical
     big = (q - 1) / 4 * s * s
     z, z_inv = (big, 1 / big) if y >= 0 else (1 / big, big)
     below = {e: 1 / (1 + z * q**e) for e in range(2 - m, m - 1)}  # factors for i < k
@@ -372,6 +372,10 @@ class ChainConfig:
     max_state: float = 1e100
 
     def __post_init__(self):
+        for name in ("m", "steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not (self.q > 1 and math.isfinite(self.q)):
             raise ValueError(f"simulation needs a finite q > 1, got {self.q}")
         if not math.isfinite(self.initial_y):

@@ -206,26 +206,44 @@ def index_sumset(m: int, n: int) -> list[int]:
 
 
 def _lift_state(y, q):
-    """Return (y, radical) with radical = sqrt(y^2 + 4/(q-1)) in y's backend.
-
-    In the exact lane (_is_exact of y and q) rationals are lifted into
+    """The one entry from a conditioning state to the coordinates chi reads:
+    (y, radical, sqrt_q, q) with radical = sqrt(y^2 + 4/(q-1)) and q > 1
+    (else a ValueError naming q).  A float y or q puts both in the float
+    lane, a nan y included.  In the exact lane a rational y is lifted into
     Q(sqrt(D)) with D = y^2 + 4/(q-1), where the radical is sqrt(D) itself
     (a rational when D is a square); a QuadraticNumber state keeps its own
     field and the radical is extracted there (NotRepresentable when it does
     not exist).
     """
+    q = _normalize_q(q)
+    if not q > 1:
+        raise ValueError(f"needs q > 1, got q = {q}")
     if not _is_exact(y, q):
-        return y, math.sqrt(y * y + 4.0 / (q - 1.0))
+        y, q = float(y), float(q)
+        return y, math.sqrt(y * y + 4.0 / (q - 1.0)), scalar_sqrt(q), q
+    sq = scalar_sqrt(q)
     if isinstance(y, QuadraticNumber):
         try:
-            return y, quad_sqrt(y * y + Fraction(4) / (q - 1))
+            return y, quad_sqrt(y * y + Fraction(4) / (q - 1)), sq, q
         except NotAPerfectSquare as exc:
             raise NotRepresentable(
                 f"sqrt({y}^2 + 4/(q-1)) leaves Q(sqrt({y.D}))"
             ) from exc
     y = Fraction(y)
     D = y * y + Fraction(4) / (q - 1)
-    return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D)
+    return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D), sq, q
+
+
+def _chi(k: int, y, radical, sq, q):
+    """chi_k at a state already lifted by _lift_state (see chi)."""
+    qk = sq**k
+    qk_inv = 1 / qk
+    even = y * (qk + qk_inv)
+    odd = radical * (qk - qk_inv)
+    if isinstance(radical, float) and even * odd < 0:
+        spread = qk - qk_inv
+        return 2 * (y * y - spread * spread / (q - 1)) / (even - odd)
+    return (even + odd) / 2
 
 
 def chi(k: int, y, q):
@@ -246,26 +264,11 @@ def chi(k: int, y, q):
     a small multiple of 2^-53 max(1, kappa), kappa being the condition
     number |y d(chi_k)/dy / chi_k| of chi_k in y.
     """
-    q = _normalize_q(q)
-    if not q > 1:
-        raise ValueError(f"chi needs q > 1, got {q}")
-    sq = scalar_sqrt(q)
-    y, radical = _lift_state(y, q)
-    qk = sq**k
-    qk_inv = 1 / qk
-    even = y * (qk + qk_inv)
-    odd = radical * (qk - qk_inv)
-    if isinstance(radical, float) and even * odd < 0:
-        spread = qk - qk_inv
-        return 2 * (y * y - spread * spread / (q - 1)) / (even - odd)
-    return (even + odd) / 2
+    return _chi(k, *_lift_state(y, q))
 
 
 def chi_radical(y, q):
     """sqrt(y^2 + 4/(q-1)) in y's backend (the radical chi is built from)."""
-    q = _normalize_q(q)
-    if not q > 1:
-        raise ValueError(f"chi_radical needs q > 1, got {q}")
     return _lift_state(y, q)[1]
 
 
@@ -505,27 +508,23 @@ def verify_chi_properties(
 
     Index 0 is allowed (chi_0 is the identity map).
     """
-    q = _normalize_q(q)
-    if not q > 1:
-        raise ValueError(f"needs q > 1, got {q}")
-    exact = _is_exact(q, y)
+    state = lifted, radical, sq, q = _lift_state(y, q)
+    exact = _is_exact(q)
     if not exact:
-        q, y = float(q), float(y)
-    sq = scalar_sqrt(q)
+        y = lifted
     report = VerificationReport(
         "chi-properties", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"}
     )
 
-    lifted, radical = _lift_state(y, q)
     qm = sq**m
     root = (lifted * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
-    chi_m = chi(m, y, q)
+    chi_m = _chi(m, *state)
     lhs = chi_m * chi_m + 4 / (q - 1)
     pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
     _check(report, exact, pairs, rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
 
     composed = chi(m, chi(n, y, q), q)
-    direct = chi(m + n, y, q)
+    direct = _chi(m + n, *state)
     witness = {"property": "composition", "chi_m(chi_n)": composed, "chi_{m+n}": direct}
     _check(report, exact, [(composed, direct)], rel_tol, witness)
     return report

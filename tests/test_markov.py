@@ -1,8 +1,10 @@
 """Transition kernels: construction, moment laws, composition, sampling."""
 
+import cProfile
 import hashlib
 import json
 import math
+import pstats
 import random
 import warnings
 from fractions import Fraction
@@ -34,6 +36,13 @@ from qchain.qcore import eval_H_seq
 from qchain.spectra import VerificationFailed, chi, index_set, index_sumset
 
 Y1, Q4 = Fraction(1), Fraction(4)
+
+
+def calls_of(name, fn):
+    """How many times a function named `name` runs during fn()."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return sum(stat[1] for (_, _, func), stat in pstats.Stats(profile).stats.items() if func == name)
 
 
 class TestBuildDistribution:
@@ -157,6 +166,11 @@ class TestBuildDistribution:
         text = "".join(build_distribution(m, y, q).to_json() for q in (2.25, 4.0, 16.0) for y in ys for m in (2, 3, 4, 7))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "95477a7517fd35521a8f18e9c9778dae70560b0ec9dea226fb39f580035354b1"
+
+    @pytest.mark.parametrize("m, y, q", [(3, 1.3, 4.0), (12, Fraction(-137, 23), Fraction(9, 4))])
+    def test_state_is_lifted_once_per_kernel(self, m, y, q):
+        # every support point and z are read from one lift of y
+        assert calls_of("_lift_state", lambda: build_distribution(m, y, q)) == 1
 
     @pytest.mark.parametrize("y, q", [(1.0, 4.0), (Y1, Q4)])
     def test_inconsistent_sqrt_q_is_refused_in_both_lanes(self, y, q):
@@ -302,6 +316,12 @@ class TestChapmanKolmogorov:
         with pytest.raises(ValueError):
             verify_chapman_kolmogorov(2, 2, 1.0, 4.0, mode="exact")
 
+    def test_each_inner_kernel_extracts_one_radical(self):
+        # inner kernels sit at quadratic states: 3 after the order-3 kernel
+        # and 5 after the order-5 one, each taking its radical by quad_sqrt once
+        check = lambda: verify_chapman_kolmogorov(3, 3, Fraction(2, 3), Fraction(4), mode="exact")
+        assert calls_of("quad_sqrt", check) == 3 + 5
+
     def test_failure_report(self, monkeypatch):
         import qchain.markov as markov_mod
 
@@ -412,6 +432,16 @@ class TestSimulate:
     def test_config_names_a_bad_bound_or_non_finite_input(self, field, value):
         kwargs = {"q": 4.0, "m": 2, "initial_y": 1.0, "steps": 1, field: value}
         with pytest.raises(ValueError, match=field):
+            ChainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", None), ("seed", 1.0), ("seed", True), ("m", 2.5), ("m", "3"), ("steps", 2.0), ("steps", False)],
+    )
+    def test_config_names_a_non_integer_count_or_seed(self, field, value):
+        # a None seed would draw from the OS and break reproducibility
+        kwargs = {"q": 4.0, "m": 2, "initial_y": 1.0, "steps": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an int"):
             ChainConfig(**kwargs)
 
     def test_csv_files_and_metadata(self, tmp_path):

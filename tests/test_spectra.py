@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qchain.exactnum import NotAPerfectSquare, QuadraticNumber
-from qchain.markov import verify_chapman_kolmogorov
+from qchain.markov import build_distribution, verify_chapman_kolmogorov
 from qchain.qcore import eval_h_seq, eval_p, q_binomial
 from qchain.spectra import (
     IndexSetError,
@@ -99,6 +100,12 @@ class TestChi:
             chi(1, 1.0, 1.0)
         with pytest.raises(ValueError):
             chi(1, Fraction(1), Fraction(1, 2))
+
+    def test_float_state_puts_a_rational_q_in_the_float_lane(self):
+        # q = 2 is no rational square, but a float state takes q as a float,
+        # the lane the kernel at that state already runs in
+        assert chi(1, 1.0, Fraction(2)) == build_distribution(2, 1.0, Fraction(2)).value(1)
+        assert chi_radical(1.0, Fraction(2)) == math.sqrt(5.0)
 
     def test_not_representable(self):
         # y = sqrt(7/3): y^2 + 4/3 = 11/3 has no root in Q(sqrt(7/3))
@@ -428,6 +435,25 @@ class TestVerdicts:
     def test_a_non_square_exact_q_is_named(self, call):
         with pytest.raises(NotAPerfectSquare, match=r"^exact mode needs q to be a perfect rational square, got 2$"):
             call()
+
+    @pytest.mark.parametrize(
+        "y, q",
+        [(Fraction(1), 1), (Fraction(1), Fraction(1, 4)), (Fraction(1), Fraction(1, 2)),
+         (1.0, 1.0), (1.0, 0.25), (1.0, 0.5), (1.0, math.nan), (Fraction(1), math.nan)],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda y, q: build_distribution(2, y, q),
+            lambda y, q: chi(1, y, q),
+            lambda y, q: chi_radical(y, q),
+            lambda y, q: verify_chi_properties(1, 1, y, q),
+        ],
+        ids=["build_distribution", "chi", "chi_radical", "verify_chi_properties"],
+    )
+    def test_one_q_range_error_names_q(self, call, y, q):
+        with pytest.raises(ValueError, match=rf"^needs q > 1, got q = {re.escape(str(q))}$"):
+            call(y, q)
 
     def test_float_points_put_factorization_in_the_float_lane(self):
         # at q = 4 the sum form lands two ulps off the recurrence at (-2, -1.2)
