@@ -37,7 +37,6 @@ from .markov import (
     verify_chapman_kolmogorov,
 )
 from .qcore import (
-    QParams,
     eval_B,
     eval_B_seq,
     eval_H,

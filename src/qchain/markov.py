@@ -37,8 +37,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import _is_exact, format_scalar, parse_exact
-from .qcore import QParams, _q_binomial_row, eval_H_seq
+from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
+from .qcore import _q_binomial_row, eval_H_seq
 from .spectra import VerificationReport, _chi, _fail, _float_q, _lift_state, chi, index_set
 
 __all__ = [
@@ -187,6 +187,12 @@ class ConditionalDistribution:
         return worst
 
 
+def _require_int(name: str, value) -> None:
+    """ValueError naming the parameter unless value is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y.
 
@@ -199,8 +205,9 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     masses are within 1e-12 relative of the rounded exact ones up to
     |y| = 1e100, and from about |y| = 1.3e154 the build raises
     DegenerateSupport.  `strict` runs check_masses on the result; a given
-    sqrt_q is only checked against q (QParams.create), in both lanes.
+    sqrt_q must equal the lifted sqrt(q) (ValueError otherwise), in both lanes.
     """
+    _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
     lifted, radical, sq, q = _lift_state(y, q)
@@ -208,7 +215,8 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     if not exact:  # a float q or state puts the whole kernel in the float lane
         y = lifted
         _float_q(q, y=y)
-    QParams.create(q, m, sqrt_q)
+    if sqrt_q is not None and sqrt_q != sq:
+        raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {sq} at q = {q}")
 
     ks = index_set(m)
     values = [_chi(k, lifted, radical, sq, q) for k in ks]
@@ -246,9 +254,9 @@ def conditional_moment_residual(dist: ConditionalDistribution, j: int):
     """
     if j < 1:
         raise ValueError("moment order j must be >= 1")
-    params = QParams.create(dist.q, dist.m)
+    rho = scalar_sqrt(dist.q) ** (1 - dist.m)
     moment = dist.kernel_moment(lambda v: eval_H_seq(j, v, dist.q)[j])
-    return moment - params.rho**j * eval_H_seq(j, dist.y, dist.q)[j]
+    return moment - rho**j * eval_H_seq(j, dist.y, dist.q)[j]
 
 
 def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> ConditionalDistribution:
@@ -260,6 +268,7 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     asserted to coincide atom-for-atom with the directly built
     order-(m+n-1) kernel (CompositionMismatch otherwise).
     """
+    _require_int("n", n)
     if n < 2:
         raise ValueError(f"inner kernel order must be >= 2, got {n}")
     m, y, q = dist.m, dist.y, dist.q
@@ -314,6 +323,7 @@ def _matches_direct(composed: ConditionalDistribution) -> tuple[float, bool]:
 def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
     """The k-step kernel: k composed one-step kernels of order m collapse
     to the single kernel of order k(m-1) + 1."""
+    _require_int("k", k)
     if k < 1:
         raise ValueError("step count k must be >= 1")
     return build_distribution(k * (m - 1) + 1, y, q)
@@ -333,6 +343,8 @@ def verify_chapman_kolmogorov(
     With `multi_step`, additionally compose the 2-step kernel with a further
     order-m step and match it against the 3-step kernel.
     """
+    if mode not in (None, "exact", "float"):
+        raise ValueError(f"mode must be None, 'exact' or 'float', got {mode!r}")
     if mode == "float":
         q, y = float(q), float(y)
     exact = _is_exact(q, y)  # the kernels' lane: a float y makes float kernels
@@ -373,9 +385,7 @@ class ChainConfig:
 
     def __post_init__(self):
         for name in ("m", "steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _require_int(name, getattr(self, name))
         if not (self.q > 1 and math.isfinite(self.q)):
             raise ValueError(f"simulation needs a finite q > 1, got {self.q}")
         if not math.isfinite(self.initial_y):

@@ -22,11 +22,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-
-from .exactnum import _is_exact, scalar_sqrt
 
 __all__ = [
     "q_bracket",
@@ -42,7 +38,6 @@ __all__ = [
     "eval_p",
     "eval_p_seq",
     "eval_p_expansion",
-    "QParams",
 ]
 
 
@@ -211,41 +206,3 @@ def eval_p_expansion(n: int, x, y, rho, q):
     _check_finite([total], "p-expansion", n)
     return total
 
-
-@dataclass(frozen=True)
-class QParams:
-    """Bundle (q, m, rho, sqrt_q) for a transition order m.
-
-    rho = q^{-(m-1)/2} is the one-step correlation.  sqrt_q is formed from
-    q by scalar_sqrt, so exact mode requires q to be the square of a
-    rational; a caller-given sqrt_q is validated against q, never trusted.
-    """
-
-    q: object
-    m: int
-    rho: object
-    sqrt_q: object
-
-    @classmethod
-    def create(cls, q, m: int, sqrt_q=None) -> "QParams":
-        if m < 2:
-            raise ValueError("transition order m must be >= 2")
-        if isinstance(q, int):
-            q = Fraction(q)
-        if sqrt_q is None:
-            sqrt_q = scalar_sqrt(q)
-        params = cls(q=q, m=m, rho=sqrt_q ** (-(m - 1)), sqrt_q=sqrt_q)
-        params.validate()
-        return params
-
-    def validate(self) -> None:
-        if not _is_exact(self.q):
-            if abs(self.sqrt_q * self.sqrt_q - self.q) > 1e-12 * max(1.0, abs(self.q)):
-                raise ValueError("sqrt_q^2 != q beyond float tolerance")
-            if abs(self.rho * self.rho * self.q ** (self.m - 1) - 1.0) > 1e-9:
-                raise ValueError("rho^2 q^{m-1} != 1 beyond float tolerance")
-        else:
-            if self.sqrt_q * self.sqrt_q != self.q:
-                raise ValueError(f"sqrt_q^2 = {self.sqrt_q * self.sqrt_q} differs from q = {self.q}")
-            if self.rho * self.rho * self.q ** (self.m - 1) != 1:
-                raise ValueError("rho^2 q^{m-1} != 1")

@@ -319,7 +319,7 @@ class TestFloatConversion:
             return a + b * mpmath.sqrt(d)
 
     @pytest.mark.parametrize("m", [8, 10, 12])
-    @pytest.mark.parametrize("q", [Fraction(4), Fraction(16)])
+    @pytest.mark.parametrize("q", [Fraction(4), Fraction(16), 4])  # an int q builds the exact kernel too
     def test_kernel_atoms_round_to_a_few_ulps(self, m, q):
         # support values and masses of exact kernels: a and b*sqrt(D) of
         # opposite signs cancel to many digits here

@@ -172,10 +172,27 @@ class TestBuildDistribution:
         # every support point and z are read from one lift of y
         assert calls_of("_lift_state", lambda: build_distribution(m, y, q)) == 1
 
+    @pytest.mark.parametrize("m, y, q", [(3, 1.3, 4.0), (12, Fraction(-137, 23), Fraction(9, 4))])
+    def test_sqrt_q_is_formed_once_per_kernel(self, m, y, q):
+        assert calls_of("scalar_sqrt", lambda: build_distribution(m, y, q)) == 1
+
     @pytest.mark.parametrize("y, q", [(1.0, 4.0), (Y1, Q4)])
     def test_inconsistent_sqrt_q_is_refused_in_both_lanes(self, y, q):
-        with pytest.raises(ValueError):
-            build_distribution(3, y, q, Fraction(3))
+        for sqrt_q in (Fraction(3), Fraction(-2)):  # (-2)^2 = q, but sqrt(q) = 2
+            with pytest.raises(ValueError):
+                build_distribution(3, y, q, sqrt_q)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("m", lambda: build_distribution(3.0, Y1, Q4)),
+            ("n", lambda: compose(build_distribution(2, Y1, Q4), 2.0)),
+            ("k", lambda: k_step_distribution(2, 1.5, Y1, Q4)),
+        ],
+    )
+    def test_a_non_int_order_is_named(self, name, call):
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got"):
+            call()
 
     @pytest.mark.parametrize("y, q, name", [(math.nan, 4.0, "y"), (1.0, math.inf, "q"), (math.inf, 4.0, "y")])
     def test_float_lane_names_a_non_finite_input(self, y, q, name):
@@ -206,6 +223,12 @@ class TestMomentLaw:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             conditional_moment_residual(build_distribution(2, Y1, Q4), 0)
+
+    def test_float_rows_vanish_to_rounding(self):
+        # the float lane's rho = sqrt(q)^{1-m} = 1/4 at q = 4, m = 3
+        dist = build_distribution(3, 1.3, 4.0)
+        for j in (1, 2):
+            assert abs(conditional_moment_residual(dist, j)) <= 1e-12
 
 
 class TestComposition:
@@ -315,6 +338,10 @@ class TestChapmanKolmogorov:
     def test_mode_guard(self):
         with pytest.raises(ValueError):
             verify_chapman_kolmogorov(2, 2, 1.0, 4.0, mode="exact")
+
+    def test_an_unknown_mode_is_named(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            verify_chapman_kolmogorov(2, 2, Fraction(1), Fraction(4), mode="bogus")
 
     def test_each_inner_kernel_extracts_one_radical(self):
         # inner kernels sit at quadratic states: 3 after the order-3 kernel

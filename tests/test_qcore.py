@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchain.exactnum import NotAPerfectSquare
 from qchain.qcore import (
-    QParams,
     eval_B,
     eval_B_seq,
     eval_H,
@@ -229,39 +227,6 @@ class TestAlSalamChiharaFamily:
     def test_seq_matches_point_eval(self):
         args = (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3), Fraction(9, 4))
         assert eval_p_seq(8, *args) == [eval_p(n, *args) for n in range(9)]
-
-
-class TestQParams:
-    def test_exact_square(self):
-        params = QParams.create(Fraction(4), 3)
-        assert params.sqrt_q == 2
-        assert params.rho == Fraction(1, 4)
-
-    def test_nine_quarters(self):
-        params = QParams.create(Fraction(9, 4), 2)
-        assert params.sqrt_q == Fraction(3, 2)
-        assert params.rho == Fraction(2, 3)
-        assert params.rho**2 * params.q ** (params.m - 1) == 1
-
-    def test_int_promotes(self):
-        assert QParams.create(4, 2).q == Fraction(4)
-
-    def test_non_square_exact_rejected(self):
-        with pytest.raises(NotAPerfectSquare):
-            QParams.create(Fraction(2), 2)
-
-    def test_float(self):
-        params = QParams.create(2.25, 4)
-        assert params.sqrt_q == pytest.approx(1.5)
-        assert params.rho == pytest.approx(1.5**-3)
-
-    def test_m_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            QParams.create(Fraction(4), 1)
-
-    def test_inconsistent_sqrt_rejected(self):
-        with pytest.raises(ValueError):
-            QParams.create(Fraction(4), 2, sqrt_q=Fraction(3))
 
 
 class TestOneBinomialRow:
