@@ -179,6 +179,9 @@ class QuadraticNumber:
     def __lt__(self, A, B, C):
         return _sign(self._A * C - A * self._C, self._B * C - B * self._C, self._F[0]) < 0
 
+    def __hash__(self):  # a value with B = 0 equals the Fraction A/C, so it hashes as that
+        return hash((self._A, self._B, self._C) if self._B else Fraction(self._A, self._C))
+
     def __bool__(self):
         return bool(self._A or self._B)
 

@@ -323,6 +323,7 @@ def _matches_direct(composed: ConditionalDistribution) -> tuple[float, bool]:
 def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
     """The k-step kernel: k composed one-step kernels of order m collapse
     to the single kernel of order k(m-1) + 1."""
+    _require_int("m", m)
     _require_int("k", k)
     if k < 1:
         raise ValueError("step count k must be >= 1")

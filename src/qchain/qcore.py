@@ -4,7 +4,8 @@ of four polynomial families, generic over the scalar backend.
 All evaluators are written once against plain arithmetic operators and
 work unchanged for float, complex, Fraction, QuadraticNumber and mpmath
 scalars.  The four families share one three-term driver,
-y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n):
+y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n), which each
+builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
 
     H_n(x|q)        monic q-Hermite:      x H_n = H_{n+1} + [n]_q H_{n-1}
     h_n(x|q)        continuous q-Hermite: 2x h_n = h_{n+1} + (1-q^n) h_{n-1}
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import operator
+from functools import reduce
 from itertools import accumulate
 
 __all__ = [
@@ -61,23 +63,14 @@ def q_bracket(n: int, q):
     """
     if n < 0:
         raise ValueError("q_bracket needs n >= 0")
-    total = 0
-    power = 1
-    for _ in range(n):
-        total = total + power
-        power = power * q
-    return total
+    return _q_table(n + 1, q)[n][2]
 
 
 def q_factorial(n: int, q):
     """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0."""
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
-    out, bracket, power = 1, 0, 1  # [i]_q and q^i, summed as in q_bracket
-    for _ in range(n):
-        bracket, power = bracket + power, power * q
-        out = out * bracket
-    return out
+    return reduce(operator.mul, (bracket for _, _, bracket in _q_table(n + 1, q)[1:]), 1)
 
 
 def _q_binomial_row(n: int, q) -> list:
@@ -104,36 +97,34 @@ def q_pochhammer(a, q, n: int):
     if n < 0:
         raise ValueError("q_pochhammer needs n >= 0")
     out = 1
-    power = 1
-    for _ in range(n):
+    for _, power, _ in _q_table(n, q):
         out = out * (1 - a * power)
-        power = power * q
     return out
 
 
-def _three_term(n: int, q, family: str, coefficients, **inputs) -> list:
-    """y_0 .. y_n of y_{i+1} = a_i y_i - b_i y_{i-1}, y_{-1} = 0, y_0 = 1.
-
-    `coefficients(q^{i-1}, q^i, [i]_q)` returns (a_i, b_i); the powers and
-    brackets are carried here, summed as in q_bracket.  q^{-1} is never
-    formed: at i = 0 it meets [0]_q = 0, and 0 stands in for it (keeps
-    integer q exact).  q and the family's named `inputs` must not be a
-    non-finite float or complex (ValueError naming the input).
-    """
+def _q_table(n: int, q) -> list:
+    """(q^{i-1}, q^i, [i]_q) for i = 0..n-1 by sums and products alone, read by
+    q_bracket, q_factorial, q_pochhammer and every family's (a_i, b_i).  At
+    i = 0, 0 stands in for q^{-1}, which meets [0]_q = 0 (keeps int q exact)."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    for name, value in {**inputs, "q": q}.items():
+    powers = list(accumulate([q] * n, operator.mul, initial=1))
+    return list(zip([0] + powers, powers[:n], accumulate(powers, operator.add, initial=0)))
+
+
+def _three_term(family: str, coefficients, **inputs) -> list:
+    """y_0 .. y_n of y_{i+1} = a_i y_i - b_i y_{i-1}, y_{-1} = 0, y_0 = 1, for the
+    n pairs (a_i, b_i) drawn one by one from `coefficients`.  The named `inputs`,
+    q among them, must not be a non-finite float or complex (ValueError naming it)."""
+    for name, value in inputs.items():
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
             raise ValueError(f"{family} recurrence needs finite inputs, got {name} = {value}")
     seq = [1]
     prev, cur = 0, 1
-    power_prev, power, bracket = 0, 1, 0
     try:
-        for _ in range(n):
-            a, b = coefficients(power_prev, power, bracket)
+        for a, b in coefficients:
             prev, cur = cur, a * cur - b * prev
             seq.append(cur)
-            power_prev, power, bracket = power, power * q, bracket + power
     finally:  # also on an early exit, e.g. an int coefficient too large for an overflowed float
         _check_finite(seq, family)
     return seq
@@ -141,7 +132,7 @@ def _three_term(n: int, q, family: str, coefficients, **inputs) -> list:
 
 def eval_H_seq(n: int, x, q) -> list:
     """All monic q-Hermite values H_0(x|q) .. H_n(x|q) in one forward pass."""
-    return _three_term(n, q, "H", lambda power_prev, power, bracket: (x, bracket), x=x)
+    return _three_term("H", ((x, bracket) for _, _, bracket in _q_table(n, q)), x=x, q=q)
 
 
 def eval_H(n: int, x, q):
@@ -152,7 +143,7 @@ def eval_H(n: int, x, q):
 def eval_h_seq(n: int, x, q) -> list:
     """All continuous q-Hermite values h_0(x|q) .. h_n(x|q)."""
     two_x = 2 * x
-    return _three_term(n, q, "h", lambda power_prev, power, bracket: (two_x, 1 - power), x=x)
+    return _three_term("h", ((two_x, 1 - power) for _, power, _ in _q_table(n, q)), x=x, q=q)
 
 
 def eval_h(n: int, x, q):
@@ -162,7 +153,7 @@ def eval_h(n: int, x, q):
 
 def eval_B_seq(n: int, y, q) -> list:
     """All connection-family values B_0(y|q) .. B_n(y|q)."""
-    return _three_term(n, q, "B", lambda power_prev, power, bracket: (-(power * y), -(power_prev * bracket)), y=y)
+    return _three_term("B", ((-(power * y), -(prev * bracket)) for prev, power, bracket in _q_table(n, q)), y=y, q=q)
 
 
 def eval_B(n: int, y, q):
@@ -170,18 +161,44 @@ def eval_B(n: int, y, q):
     return eval_B_seq(n, y, q)[n]
 
 
+def _p_parts(n: int, rho, q):
+    """The p recurrence's b_i = (1 - rho^2 q^{i-1}) [i]_q and y -> rho y q^i
+    (a_i = x - rho y q^i), both lazy, for callers forming them once."""
+    table = _q_table(n, q)
+    b = ((1 - rho * rho * power_prev) * bracket for power_prev, _, bracket in table)
+    return b, lambda y: (rho * y * power for _, power, _ in table)
+
+
+def _p_from_parts(x, shifts, b, /, **inputs) -> list:
+    """p_0 .. p_n from the rho y q^i and b_i of _p_parts."""
+    return _three_term("p", zip((x - shift for shift in shifts), b), **inputs)
+
+
 def eval_p_seq(n: int, x, y, rho, q) -> list:
     """All Al-Salam-Chihara values p_0 .. p_n at (x | y, rho, q)."""
-    rho_y, rho_sq = rho * y, rho * rho
-    return _three_term(
-        n, q, "p", lambda power_prev, power, bracket: (x - rho_y * power, (1 - rho_sq * power_prev) * bracket),
-        x=x, y=y, rho=rho,
-    )
+    b, shifts = _p_parts(n, rho, q)
+    return _p_from_parts(x, shifts(y), b, x=x, y=y, rho=rho, q=q)
 
 
 def eval_p(n: int, x, y, rho, q):
     """p_n(x|y,rho,q) by forward recurrence; p_1 = x - rho y."""
     return eval_p_seq(n, x, y, rho, q)[n]
+
+
+def _expansion_weights(n: int, rho, q) -> list:
+    """qbinom(n, n-j) rho^j, j = 0..n, from one q-Pascal row: the connection sum's x- and y-free weights."""
+    binomials = _q_binomial_row(n, q)
+    return [binomials[n - j] * rho_pow for j, rho_pow in enumerate(accumulate([rho] * n, operator.mul, initial=1))]
+
+
+def _expansion(weights: list, left: list, right: list):
+    """sum_j weights[j] left_j right_{n-j}: the connection sum at one point
+    with left = B(y) and right = H(x), and the addition formula's h-sum."""
+    total = 0
+    for weight, a, b in zip(weights, left, reversed(right)):
+        total = total + weight * a * b
+    _check_finite([total], "p-expansion", len(weights) - 1)
+    return total
 
 
 def eval_p_expansion(n: int, x, y, rho, q):
@@ -192,17 +209,5 @@ def eval_p_expansion(n: int, x, y, rho, q):
     the binomials from one q-Pascal row: an evaluation route independent of
     the three-term recurrence; the two must agree identically on exact scalars.
     """
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    B_seq = eval_B_seq(n, y, q)
-    H_seq = eval_H_seq(n, x, q)
-    binomials = _q_binomial_row(n, q)
-    total = 0
-    rho_pow = 1
-    for j in range(n + 1):  # j = n - k counts the rho/B exponent
-        k = n - j
-        total = total + binomials[k] * rho_pow * B_seq[j] * H_seq[k]
-        rho_pow = rho_pow * rho
-    _check_finite([total], "p-expansion", n)
-    return total
-
+    B_seq, H_seq = eval_B_seq(n, y, q), eval_H_seq(n, x, q)  # n < 0 raises in _q_table
+    return _expansion(_expansion_weights(n, rho, q), B_seq, H_seq)

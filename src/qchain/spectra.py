@@ -29,6 +29,7 @@ inputs.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import random
@@ -45,12 +46,17 @@ from .exactnum import (
     scalar_sqrt,
 )
 from .qcore import (
+    _expansion,
+    _expansion_weights,
+    _p_from_parts,
+    _p_parts,
     _q_binomial_row,
     eval_B,
+    eval_B_seq,
     eval_H,
+    eval_H_seq,
     eval_h,
     eval_h_seq,
-    eval_p,
     eval_p_expansion,
     q_pochhammer,
 )
@@ -272,19 +278,30 @@ def chi_radical(y, q):
     return _lift_state(y, q)[1]
 
 
+def _factor_terms(degrees, q, divisor) -> list:
+    """(q^{n/2} + q^{-n/2}, (q^n + q^{-n} - 2)/divisor) for each degree n >= 1,
+    None for n = 0: the part of each quadratic factor free of x and y."""
+    sq = scalar_sqrt(q) if any(degrees) else None  # x + y needs no sqrt(q)
+    halves = [sq**n if n else None for n in degrees]
+    return [None if h is None else (h + 1 / h, (h * h + 1 / (h * h) - 2) / divisor) for h in halves]
+
+
+def _product(x, y, squares, terms: list):
+    """prod over `terms` (_factor_terms) of squares + xy c + d, or x + y for None; squares = x^2 + y^2."""
+    xy = x * y
+    first, *rest = [x + y if t is None else squares + xy * t[0] + t[1] for t in terms]
+    return math.prod(rest, start=first)
+
+
 def _quadratic_factor(name: str, n: int, x, y, q, divisor):
     """x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) + (q^n + q^{-n} - 2)/divisor(q)
     for n >= 1 and x + y for n = 0: v_factor and t_factor differ in divisor."""
     if n < 0:
         raise ValueError(f"{name} needs n >= 0")
-    if n == 0:
-        return x + y
     q = _normalize_q(q)
-    if divisor(q) == 0:
+    if n and divisor(q) == 0:
         raise ValueError(f"{name} needs q != 1 for n >= 1")
-    qn_half = scalar_sqrt(q) ** n
-    qn = qn_half * qn_half
-    return x * x + y * y + x * y * (qn_half + 1 / qn_half) + (qn + 1 / qn - 2) / divisor(q)
+    return _product(x, y, x * x + y * y, _factor_terms([n], q, divisor(q)))
 
 
 def v_factor(n: int, x, y, q):
@@ -311,22 +328,22 @@ def eval_sum_form(m: int, x, y, q):
     return eval_p_expansion(m, x, y, scalar_sqrt(q) ** (-(m - 1)) if m >= 1 else 1, q)
 
 
+def _product_terms(m: int, q) -> list:
+    """_factor_terms of the v-factors of the degree-m product."""
+    if m < 1:
+        raise ValueError("eval_product_form needs m >= 1")
+    if q == 1:
+        raise ValueError("eval_product_form needs q != 1")
+    return _factor_terms(_factor_degrees(m), q, 1 - q)
+
+
 def eval_product_form(m: int, x, y, q):
     """The factorized route to p_m(x | y, q^{-(m-1)/2}, q):
 
         prod_{j=1..i} v_{2j-1}(x,-y,q)   for m = 2i,
         prod_{j=0..i} v_{2j}(x,-y,q)     for m = 2i+1.
     """
-    if m < 1:
-        raise ValueError("eval_product_form needs m >= 1")
-    q = _normalize_q(q)
-    if q == 1:
-        raise ValueError("eval_product_form needs q != 1")
-    neg_y = -y
-    out = 1
-    for n in _factor_degrees(m):
-        out = out * v_factor(n, x, neg_y, q)
-    return out
+    return _product(x, -y, x * x + y * y, _product_terms(m, _normalize_q(q)))
 
 
 def _factor_degrees(m: int) -> range:
@@ -360,28 +377,37 @@ def verify_factorization(
 ) -> VerificationReport:
     """Check the three evaluation routes to p_m(x | y, q^{-(m-1)/2}, q)
     (recurrence, connection sum, v-factor product) against each other on a
-    grid of (x, y) pairs large enough to pin a bivariate degree-m identity.
-    The default grid is rational; in the float lane q and every point must
-    be finite.  A given sqrt_q sets only the recurrence route's rho =
-    sqrt_q^{-(m-1)}; the other two routes form sqrt(q) from q, so a sqrt_q
-    inconsistent with q shows as a counterexample.
-    """
+    grid of more than (m+1)^2 distinct (x, y) points (ValueError otherwise),
+    enough to pin a bivariate degree-m identity.  The default grid is
+    rational; in the float lane q and every point must be finite.  A given
+    sqrt_q sets only the recurrence route's rho = sqrt_q^{-(m-1)}; the other
+    routes form sqrt(q) from q, so a sqrt_q inconsistent with q shows as a
+    counterexample.  Each route forms its x- and y-free part once per call
+    (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) and x^2
+    per x, rho y q^i, B_k(y|q) and y^2 per y for this call only, and reads
+    no other route's values."""
     q = _normalize_q(q)
     if sample_points is None:
         axis = rational_grid(m + 2)  # (m+2)^2 > (m+1)^2 points
         sample_points = [(x, y) for x in axis for y in axis]
-    if len(sample_points) <= (m + 1) ** 2:
-        raise ValueError(f"need more than {(m + 1) ** 2} sample points for degree {m}")
+    sample_points = [tuple(point) for point in sample_points]  # the count below must not use up an iterator
+    if (distinct := len(set(sample_points))) <= (m + 1) ** 2:
+        raise ValueError(f"need more than {(m + 1) ** 2} distinct sample points for degree {m}, got {distinct}")
     exact = _is_exact(q, *(c for point in sample_points for c in point))
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
     rho = (scalar_sqrt(q) if sqrt_q is None else sqrt_q) ** (-(m - 1))
+    b, shifts_of = _p_parts(m, rho, q)
+    b, shifts = list(b), functools.cache(lambda y: list(shifts_of(y)))
+    weights, terms = _expansion_weights(m, scalar_sqrt(q) ** (-(m - 1)), q), _product_terms(m, q)
+    B_of, H_of = functools.cache(lambda y: eval_B_seq(m, y, q)), functools.cache(lambda x: eval_H_seq(m, x, q))
+    square = functools.cache(lambda v: v * v)
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
     for x, y in sample_points:
-        recur = eval_p(m, x, y, rho, q)
-        summed = eval_sum_form(m, x, y, q)
-        product = eval_product_form(m, x, y, q)
+        recur = _p_from_parts(x, shifts(y), b, x=x, y=y, rho=rho, q=q)[m]
+        summed = _expansion(weights, B_of(y), H_of(x))
+        product = _product(x, -y, square(x) + square(y), terms)
         witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
         _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report
@@ -417,22 +443,16 @@ def verify_addition_formula(
     with mpmath.mp.workdps(dps):
         mq = mpmath.mpf(q)
         x, y = mpmath.cos(mpmath.mpf(theta)), mpmath.cos(mpmath.mpf(phi))
-        h_x = eval_h_seq(n, x, mq)
-        h_y = eval_h_seq(n, y, 1 / mq)
+        h_x, h_y = eval_h_seq(n, x, mq), eval_h_seq(n, y, 1 / mq)
         binomials = _q_binomial_row(n, mq)
-        summed = mpmath.mpf(0)
-        for k in range(n + 1):
-            weight = mq ** (mpmath.mpf(-k * (n - k)) / 2)
-            summed += binomials[k] * weight * h_x[k] * h_y[n - k]
+        summed = _expansion([binomials[k] * mq ** (mpmath.mpf(-k * (n - k)) / 2) for k in range(n + 1)], h_x, h_y)
 
         shift = mq ** (mpmath.mpf(1 - n) / 2)
         pochhammer = mpmath.e ** (-1j * n * mpmath.mpf(phi))
         for angle in (mpmath.mpf(theta) + mpmath.mpf(phi), -mpmath.mpf(theta) + mpmath.mpf(phi)):
             pochhammer *= q_pochhammer(-shift * mpmath.e ** (1j * angle), mq, n)
 
-        product = mpmath.mpf(2) ** n
-        for d in _factor_degrees(n):
-            product *= t_factor(d, x, y, mq)
+        product = mpmath.mpf(2) ** n * _product(x, y, x * x + y * y, _factor_terms(_factor_degrees(n), mq, 4))
 
         real, scale = pochhammer.real, max(1.0, abs(summed), abs(product))
         residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)

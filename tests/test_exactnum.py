@@ -230,6 +230,12 @@ class TestDegenerateDiscriminant:
     def test_value_equality(self):
         assert qn(1, 1, Fraction(25, 4)) == qn(Fraction(7, 2), 0, Fraction(25, 4))
 
+    def test_equal_values_hash_alike(self):
+        # a value with no sqrt(D) part equals a Fraction, so it hashes as one
+        assert hash(qn(1, 1, Fraction(25, 4))) == hash(Fraction(7, 2))
+        assert hash(qn(Fraction(3, 2), 0)) == hash(Fraction(3, 2))
+        assert len({qn(1, 2), qn(Fraction(2, 2), 2), qn(1, 0), Fraction(1), 1, qn(1, -2)}) == 3
+
     def test_sign_uses_value(self):
         assert qn(5, -2, Fraction(25, 4)).sign() == 0
         assert qn(5, -1, Fraction(25, 4)).sign() == 1

@@ -194,6 +194,11 @@ class TestBuildDistribution:
         with pytest.raises(ValueError, match=f"^{name} must be an int, got"):
             call()
 
+    def test_a_non_int_m_of_k_step_is_named_as_given(self):
+        # not through the derived order k(m-1) + 1 = 2.0
+        with pytest.raises(ValueError, match=r"^m must be an int, got 1\.5$"):
+            k_step_distribution(1.5, 2, Fraction(1), Fraction(4))
+
     @pytest.mark.parametrize("y, q, name", [(math.nan, 4.0, "y"), (1.0, math.inf, "q"), (math.inf, 4.0, "y")])
     def test_float_lane_names_a_non_finite_input(self, y, q, name):
         with pytest.raises(ValueError, match=rf"{name} must be finite"):

@@ -1,9 +1,11 @@
 """Index sets, the chi root family, factor families, and the identity
 verifiers."""
 
+import cProfile
 import hashlib
 import json
 import math
+import pstats
 import random
 import re
 from fractions import Fraction
@@ -220,6 +222,40 @@ class TestFactorizationForms:
         assert report.witness is not None
         assert "x" in report.witness
 
+    def test_verify_counts_distinct_points(self):
+        # 17 copies of one point exceed (3+1)^2 = 16 but pin nothing
+        with pytest.raises(ValueError, match=r"^need more than 16 distinct sample points for degree 3, got 1$"):
+            verify_factorization(3, Fraction(4), sample_points=[(Fraction(1), Fraction(2))] * 17)
+
+    def test_verify_counts_every_point_it_checks(self):
+        axis = rational_grid(5)
+        points = [(x, y) for x in axis for y in axis]
+        assert verify_factorization(3, Fraction(4), sample_points=points + points[:3]).points_checked == 28
+
+    def test_verify_reads_a_one_shot_iterable_once(self):
+        # counting the distinct points must not use up the points to check
+        axis = rational_grid(4)
+        report = verify_factorization(2, Fraction(4), sample_points=((x, y) for x in axis for y in axis))
+        assert report.passed and report.points_checked == 16
+
+    def test_verify_accepts_quadratic_number_points(self):
+        axis = [QuadraticNumber(i, Fraction(1, 2), D_REF) for i in range(-2, 2)]
+        report = verify_factorization(2, Fraction(9, 4), sample_points=[(x, y) for x in axis for y in axis])
+        assert report.passed and report.points_checked == 16 and report.parameters["mode"] == "exact"
+
+    def test_verify_forms_point_free_work_once_per_call(self):
+        # a 10x10 grid has 10 distinct x and 10 distinct y: one H sequence per
+        # x, one B sequence per y, one q-Pascal row and one sqrt(q) per route
+        axis = rational_grid(10)
+        grid = [(x, y) for x in axis for y in axis]
+        profile = cProfile.Profile()
+        profile.runcall(verify_factorization, 5, Fraction(4), sample_points=grid)
+        calls = {}
+        for (_, _, name), stat in pstats.Stats(profile).stats.items():
+            calls[name] = calls.get(name, 0) + stat[1]
+        assert [calls.get(name, 0) for name in ("eval_H_seq", "eval_B_seq", "_q_binomial_row")] == [10, 10, 1]
+        assert calls["scalar_sqrt"] <= 3
+
 
 class TestRootCompleteness:
     @pytest.mark.parametrize("m", range(1, 9))
@@ -404,6 +440,39 @@ class TestVerdicts:
             reports.append(hermite_limit_identity(m, rational(), rational()))
         digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
         assert digest == "bb26d36179601b9013b394fc67f65a191e7c11d42487c308b92222b98e8d35e3"
+
+    def test_float_lane_factorization_reports_are_pinned(self):
+        # sha256 of the concatenated float-lane report JSON over a seeded
+        # sweep, reports failed at rel_tol = -1 included: a change to any
+        # residual, or to a route's value in a witness, shows to the last bit
+        rng = random.Random(15)
+        reports = []
+        for q in (2.25, 4.0, 16.0):
+            for m in range(1, 7):
+                points = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range((m + 1) ** 2 + 1)]
+                reports.append(verify_factorization(m, q, sample_points=points))
+                reports.append(verify_factorization(m, q))
+                with pytest.raises(VerificationFailed) as exc:
+                    verify_factorization(m, q, sample_points=points[::-1], rel_tol=-1.0)
+                reports.append(exc.value.report)
+        digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+        assert digest == "2409a7a91dcf2d8d2fba3b2bbd1d4efa06db3166b50d09b5bd9e0f201c8aeeed"
+
+    def test_addition_formula_reports_are_pinned(self):
+        # sha256 over a seeded sweep, reports failed at rel_tol = -1 included:
+        # the residual is a difference of 50-digit sides, so any change in
+        # how a side is summed or multiplied shows here
+        rng = random.Random(5)
+        reports = []
+        for n in range(1, 13):
+            for q in (2.25, 4.0, 16.0, 0.5, 0.9):
+                theta, phi = rng.uniform(0, 3.14), rng.uniform(0, 3.14)
+                reports.append(verify_addition_formula(n, theta, phi, q))
+                with pytest.raises(VerificationFailed) as exc:
+                    verify_addition_formula(n, theta, phi, q, rel_tol=-1.0, dps=30)
+                reports.append(exc.value.report)
+        digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+        assert digest == "23fea6a0940972292b2660932740ad8276c805eec309aaabe3aa98c2a5a8a55a"
 
     @pytest.mark.parametrize(
         "name,call",
