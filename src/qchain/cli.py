@@ -196,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # exact kernels of high order print integers past the default digit limit
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except VerificationFailed as exc:
@@ -213,6 +216,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OverflowError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

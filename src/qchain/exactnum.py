@@ -53,11 +53,6 @@ def rational_sqrt(x) -> Fraction | None:
     return None
 
 
-def _log2(x: Fraction) -> int:
-    """log2 |x| to within 1 for a nonzero rational (-1 at zero)."""
-    return x.numerator.bit_length() - x.denominator.bit_length()
-
-
 def _on_coords(op):
     """A binary method running op(self, A, B, C) on the integer coordinates
     of the other operand: those of a QuadraticNumber of the same D, or
@@ -189,20 +184,21 @@ class QuadraticNumber:
         return -self if self.sign() < 0 else self
 
     def __float__(self):
-        # a + b sqrt(D) = 2^e (a' + b' sqrt(D')) with |a'|, |b' sqrt(D')| <~ 1
-        # and D' near 1, so no term underflows or overflows on conversion
-        a, b, D = self.a, self.b, self.D
-        t = _log2(D) // 2
-        D = D / Fraction(4) ** t
-        e = max((_log2(x) for x in (a, b * Fraction(2) ** t) if x), default=0)
-        a, b = a / Fraction(2) ** e, b * Fraction(2) ** (t - e)
-        root = math.sqrt(float(D))
-        if a < 0 < b or b < 0 < a:
-            # a and b*sqrt(D) cancel: divide the exact norm, scaled apart, by the conjugate
-            norm = a * a - b * b * D
-            f = _log2(norm)
-            return math.ldexp(float(norm / Fraction(2) ** f) / (float(a) - float(b) * root), e + f)
-        return math.ldexp(float(a) + float(b) * root, e)
+        # correctly rounded: r = isqrt(B^2 N 4^p) puts |B| sqrt(N) 2^p in (r, r + 1), and
+        # rounding is monotone, so once both ends round to one double the value does too
+        A, B, C = self._A, self._B, self._C
+        if not B:
+            return A / C
+        BBN = B * B * self._F[0]
+        cancel = A and (A < 0) != (B < 0)  # A + B sqrt(N) cancels: divide the norm by the conjugate
+        p = max(0, 65 - BBN.bit_length() // 2)  # r carries at least 64 bits
+        while True:
+            r = math.isqrt(BBN << 2 * p)
+            ends = (r, r + 1) if B > 0 else (-r, -r - 1)
+            lo, hi = (((A * A - BBN) << p) / (C * ((A << p) - s)) if cancel else ((A << p) + s) / (C << p) for s in ends)
+            if lo == hi:
+                return lo
+            p += 64
 
     def __repr__(self):
         return f"QuadraticNumber({self.a}, {self.b}, {self.D})"
@@ -232,38 +228,30 @@ def _quotient(A1, B1, C1, A2, B2, C2, F) -> QuadraticNumber:
 
 
 def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
-    """Nonnegative square root of v inside Q(sqrt(D)), when one exists.
+    """Nonnegative square root of v = (A + B sqrt(N))/C in its field, from the integers.
 
-    A rational v (b = 0, always so when D is a perfect square) has root
-    sqrt(a) or sqrt(a/D)*sqrt(D).  Otherwise solves c^2 + d^2 D = a,
-    2 c d = b over the rationals; the resulting quadratic in c^2 has two
-    candidate roots and both are tested.  Raises NotAPerfectSquare when v
-    is negative or no root lies in the field (callers decide whether to
-    fall back to floats).
+    At B = 0 it is sqrt(AC)/C or sqrt(ACN)/(CN) sqrt(N); otherwise A^2 - B^2 N = T^2
+    and 2C(A + T) or 2C(A - T) = s^2 give (s^2 + 2CB sqrt(N))/(2Cs), whose square is
+    v by construction.  Raises NotAPerfectSquare when v is negative or no root lies
+    in the field (callers decide whether to fall back to floats).
     """
-    a, b, D = v.a, v.b, v.D
+    A, B, C, (N, _, D) = v._A, v._B, v._C, v._F
     if v.sign() < 0:
         raise NotAPerfectSquare(f"{v} is negative")
-    if b == 0:
-        r = rational_sqrt(a)
-        if r is not None:
-            return QuadraticNumber(r, 0, D)
-        if D != 0:
-            r = rational_sqrt(a / D)
-            if r is not None:
-                return QuadraticNumber(0, r, D)
-        raise NotAPerfectSquare(f"{v} has no square root in Q(sqrt({D}))")
-    disc = a * a - b * b * D
-    t = rational_sqrt(disc)
-    if t is None:
-        raise NotAPerfectSquare(f"{v} has no square root in Q(sqrt({D}))")
-    for c_sq in ((a + t) / 2, (a - t) / 2):
-        c = rational_sqrt(c_sq)
-        if c is None or c == 0:
-            continue
-        w = QuadraticNumber(c, b / (2 * c), D)
-        if w * w == v:
-            return w if w.sign() >= 0 else -w
+    if not B:
+        s = math.isqrt(A * C)
+        if s * s == A * C:
+            return QuadraticNumber(s, 0, (C, v._F))
+        s = math.isqrt(A * C * N)
+        if N and s * s == A * C * N:
+            return QuadraticNumber(0, s, (C * N, v._F))
+    elif A * A >= B * B * N:
+        T = math.isqrt(A * A - B * B * N)
+        for u in (A + T, A - T) if T * T == A * A - B * B * N else ():
+            s = math.isqrt(2 * C * u)
+            if s * s == 2 * C * u:
+                w = QuadraticNumber(s * s, 2 * C * B, (2 * C * s, v._F))
+                return w if w.sign() >= 0 else -w
     raise NotAPerfectSquare(f"{v} has no square root in Q(sqrt({D}))")
 
 

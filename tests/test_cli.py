@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,16 @@ class TestDist:
         clone = ConditionalDistribution.from_json_dict(json.loads(out))
         direct = build_distribution(3, Fraction(-3, 7), Fraction(9, 4))
         assert clone.max_deviation(direct) == 0.0
+
+    def test_exact_kernel_past_the_digit_limit(self, capsys):
+        # a valid kernel whose masses print integers longer than Python's
+        # default int-to-str limit: the command lifts it for its own run only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run(capsys, "dist", "--m", "68", "--y=-137/23", "--q", "9/4")
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert len(atoms) == 68 and max(len(atom["mass"]) for atom in atoms) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     def test_domain_error_exit_three(self, capsys):
         code, _, err = run(capsys, "dist", "--m", "2", "--y", "1", "--q", "1")

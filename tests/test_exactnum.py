@@ -353,6 +353,43 @@ class TestFloatConversion:
         ref = self.reference(v)
         assert abs(float(v) - ref) <= 4 * 2**-53 * abs(ref)
 
+    # float() is the reference the float lane is held to, so it must be the
+    # correctly rounded value: equal to a 4000-bit reference rounded once
+    def test_kernel_atoms_round_correctly(self):
+        values = [
+            v
+            for m in (8, 10, 12)
+            for q in (Fraction(4), Fraction(16), Fraction(9, 4))
+            for y in (Fraction(1), Fraction(-3, 7), Fraction(5, 2), Fraction(-137, 23))
+            for atom in build_distribution(m, y, q).atoms.values()
+            for v in atom
+        ]
+        underflowing = build_distribution(8, Fraction(10**60), Fraction(9, 4))  # and the subnormal cases above
+        values += [underflowing.mass(k) for k in underflowing.indices()] + [qn(Fraction(3, 10**322), Fraction(-1, 10**322))]
+        for v in values:
+            assert float(v) == float(self.reference(v, prec=4000)), v
+
+    @pytest.mark.parametrize(
+        "a, b, disc",
+        [
+            (Fraction(-3, 17), Fraction(-229, 23), 19),
+            (Fraction(253, 48), Fraction(111, 13), 2),
+            (Fraction(126, 95), Fraction(-723, 83), Fraction(25, 2)),
+            (Fraction(349, 30), -3, Fraction(50, 3)),
+        ],
+    )
+    def test_values_next_to_a_rounding_boundary_round_correctly(self, a, b, disc):
+        # |b| sqrt(D) to 64 bits leaves these on both sides of a boundary
+        # between doubles: its floor alone rounds to the wrong neighbour
+        v = qn(a, b, disc)
+        assert float(v) == float(self.reference(v, prec=4000))
+
+    @given(rationals, rationals, st.sampled_from(ORACLE_DISCRIMINANTS))
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_round_correctly(self, a, b, disc):
+        v = qn(a, b, disc)
+        assert float(v) == float(self.reference(v, prec=4000))
+
 
 class TestSerialization:
     @pytest.mark.parametrize(

@@ -6,6 +6,8 @@ import json
 import math
 import pstats
 import random
+import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -133,6 +135,34 @@ class TestBuildDistribution:
     def test_degenerate_support_names_its_parameters(self):
         with pytest.raises(DegenerateSupport, match=r"y=1e\+200.*m=2.*q=4\.0"):
             build_distribution(2, 1e200, 4.0)
+
+    @pytest.mark.parametrize(
+        "build, args, order",
+        [
+            (build_distribution, (320, 0.0, 16.0), 320),  # q^e overflows in a mass factor
+            (build_distribution, (160, 0.0, 100.0), 160),
+            (build_distribution, (320, 2.5, 16.0), 320),  # support points overflow to -inf
+            (k_step_distribution, (3, 200, 1.0, 16.0), 401),
+            (k_step_distribution, (3, 400, 1.0, 16.0), 801),  # q^{k/2} underflows to a 0.0 divisor
+        ],
+    )
+    def test_support_past_the_double_range_is_named(self, build, args, order):
+        y, q = args[-2:]
+        pattern = rf"leaves the double range.*y={re.escape(repr(y))}.*m={order}.*q={re.escape(repr(q))}"
+        with pytest.raises(DegenerateSupport, match=pattern):
+            build(*args)
+
+    def test_float_masses_hold_the_stated_bound(self):
+        # the module docstring's contract: every float mass whose exact value
+        # is a normal double lies within 2e-14 relative of it correctly rounded
+        for q in (Fraction(9, 4), Q4, Fraction(16), Fraction(100)):
+            for y in (Fraction(0), Fraction(5, 2), Fraction(-1000), Fraction(1, 3)):
+                for m in range(2, 25):
+                    exact, approx = build_distribution(m, y, q), build_distribution(m, float(y), float(q))
+                    for k in exact.indices():
+                        ref = float(exact.mass(k))
+                        if ref >= sys.float_info.min:
+                            assert abs(approx.mass(k) - ref) <= 2e-14 * ref, (m, q, y, k)
 
     def test_exact_lane_is_pinned(self):
         # sha256 of the concatenated exact kernel JSON: any change to an
