@@ -25,11 +25,11 @@ satisfy the moment law
     sum_k mass_k = 1
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
 
-Atoms are keyed by the integer index k, never by floating value: the
-composition law accumulates mass by index sum i + j, which stays exact
-even when values collide numerically.  Composing an order-m kernel with
-order-n kernels lands exactly on the order-(m+n-1) kernel — the
-consistency property the verifier checks atom by atom.
+Atoms are keyed by the integer index k, never by floating value.  As
+chi_k o chi_i = chi_{i+k}, a composition or a chain reads every kernel at
+an index i of one lift of its start y0: support chi_{i+k}(y0), z = z0 q^i.
+Accumulating mass by index sum i + j, an order-m kernel composed with
+order-n ones lands exactly on the order-(m+n-1) kernel, atom by atom.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
-from .spectra import VerificationReport, _chi, _fail, _float_q, _lift_state, chi, index_set
+from .spectra import VerificationReport, _chi, _fail, _float_q, _lift_state, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -156,8 +156,12 @@ class ConditionalDistribution:
 
     def to_json_dict(self) -> dict:
         mode, scalar = ("exact", format_scalar) if self.exact else ("float", float)
-        atoms = [{"k": k, "value": scalar(a.value), "mass": scalar(a.mass)} for k, a in sorted(self.atoms.items())]
-        return {"q": str(self.q), "m": self.m, "y": format_scalar(self.y), "atoms": atoms, "mode": mode}
+        try:
+            atoms = [{"k": k, "value": scalar(a.value), "mass": scalar(a.mass)} for k, a in sorted(self.atoms.items())]
+            return {"q": str(self.q), "m": self.m, "y": format_scalar(self.y), "atoms": atoms, "mode": mode}
+        except ValueError as exc:
+            _name_digit_limit(exc, self.m, self.y, self.q)
+            raise
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -166,8 +170,12 @@ class ConditionalDistribution:
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
         exact = doc["mode"] == "exact"
         scalar = (lambda text: parse_exact(str(text))) if exact else float
-        atoms = {entry["k"]: Atom(scalar(entry["value"]), scalar(entry["mass"])) for entry in doc["atoms"]}
-        return cls(m=int(doc["m"]), y=scalar(doc["y"]), q=(Fraction if exact else float)(doc["q"]), atoms=atoms)
+        try:
+            atoms = {entry["k"]: Atom(scalar(entry["value"]), scalar(entry["mass"])) for entry in doc["atoms"]}
+            return cls(m=int(doc["m"]), y=scalar(doc["y"]), q=(Fraction if exact else float)(doc["q"]), atoms=atoms)
+        except ValueError as exc:
+            _name_digit_limit(exc, doc["m"], doc["y"], doc["q"])
+            raise
 
     def max_deviation(self, other: "ConditionalDistribution") -> float:
         """Largest atom-wise gap against another kernel sharing the same
@@ -191,6 +199,13 @@ class ConditionalDistribution:
         return worst
 
 
+def _name_digit_limit(exc: ValueError, m, y, q) -> None:
+    """Raise a ValueError naming the kernel if exc is Python's int/str digit limit."""
+    if "integer string conversion" in str(exc):
+        msg = f"exact kernel at m={m}, y={y}, q={q} passes Python's int/str digit limit"
+        raise ValueError(f"{msg}; raise it with sys.set_int_max_str_digits") from exc
+
+
 def _require_int(name: str, value) -> None:
     """ValueError naming the parameter unless value is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -198,38 +213,45 @@ def _require_int(name: str, value) -> None:
 
 
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
-    """Construct the one-step kernel at state y.
-
-    One spectra._lift_state of y gives every support point (through
-    spectra._chi) and z; masses are the Christoffel numbers
-    [m-1 choose j]_{1/q} prod_{i<k} 1/(1 + z q^{(k+i)/2})
-    prod_{i>k} 1/(1 + z^{-1} q^{-(k+i)/2}) of the module docstring, one
-    loop for both lanes, the binomials read from one q-Pascal row
-    (qcore._q_binomial_row at 1/q); the module docstring states the float
-    lane's bound and range.  `strict` runs check_masses on the result; a given
-    sqrt_q must equal the lifted sqrt(q) (ValueError otherwise), in both lanes.
-    """
+    """Construct the one-step kernel at state y: _kernel_at index 0 of y's
+    lift.  `strict` runs check_masses on the result; a given sqrt_q must
+    equal the lifted sqrt(q) (ValueError otherwise), in both lanes."""
     _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
-    lifted, radical, sq, q = _lift_state(y, q)
+    lift = _lift_state(y, q)
+    if sqrt_q is not None and sqrt_q != lift[2]:
+        raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {lift[2]} at q = {lift[3]}")
+    dist = _kernel_at(m, 0, y, lift)
+    return dist.check_masses() if strict else dist
+
+
+def _kernel_at(m: int, i: int, y0, lift) -> ConditionalDistribution:
+    """The order-m kernel at lattice index i of the start y0, whose
+    spectra._lift_state is `lift`: its state is chi_i(y0) (y0 at i = 0),
+    named in its errors, and its support points are chi_{i+k}(y0), k in (m),
+    read through spectra._chi.  The state's z is z0 q^i, so the masses are
+    [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
+    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring), one loop
+    for both lanes, the binomials read from one q-Pascal row
+    (qcore._q_binomial_row at 1/q)."""
+    lifted, radical, sq, q = lift
     exact = _is_exact(q)
-    if not exact:  # a float q or state puts the whole kernel in the float lane
-        y = lifted
-        _float_q(q, y=y)
-    if sqrt_q is not None and sqrt_q != sq:
-        raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {sq} at q = {q}")
+    if not exact:  # a float q or start puts the whole kernel in the float lane
+        y0 = lifted
+        _float_q(q, y=y0)
+    y = _chi(i, lifted, radical, sq, q) if i else y0
 
     ks = index_set(m)
     try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
-        values = [_chi(k, lifted, radical, sq, q) for k in ks]
-        # z = e^{2 theta} and 1/z, with e^{2|theta|} >= 1 formed from |y| so that
-        # y + sqrt(D) never cancels; the factors depend on e = (k+i)/2 alone
-        s = abs(y) + radical
+        values = [_chi(i + k, lifted, radical, sq, q) for k in ks]
+        # z0 = e^{2 theta_0} and 1/z0, with e^{2|theta_0|} >= 1 formed from |y0| so
+        # that y0 + sqrt(D) never cancels; the factors depend on i + e, e = (k+h)/2, alone
+        s = abs(y0) + radical
         big = (q - 1) / 4 * s * s
-        z, z_inv = (big, 1 / big) if y >= 0 else (1 / big, big)
-        below = {e: 1 / (1 + z * q**e) for e in range(2 - m, m - 1)}  # factors for i < k
-        above = {e: 1 / (1 + z_inv / q**e) for e in range(2 - m, m - 1)}  # factors for i > k
+        z, z_inv = (big, 1 / big) if y0 >= 0 else (1 / big, big)
+        below = {e: 1 / (1 + z * q ** (i + e)) for e in range(2 - m, m - 1)}  # factors for h < k
+        above = {e: 1 / (1 + z_inv / q ** (i + e)) for e in range(2 - m, m - 1)}  # factors for h > k
     except (OverflowError, ZeroDivisionError) as exc:
         raise DegenerateSupport(f"support leaves the double range at state y={y} (m={m}, q={q})") from exc
 
@@ -243,13 +265,12 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
     binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
     for j, k in enumerate(reversed(ks)):
         mass = binomials[j]
-        for i in ks:
-            if i != k:
-                mass = mass * (below if i < k else above)[(k + i) // 2]
+        for h in ks:
+            if h != k:
+                mass = mass * (below if h < k else above)[(k + h) // 2]
         masses[k] = mass
 
-    dist = ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, masses[k]) for k, v in zip(ks, values)})
-    return dist.check_masses() if strict else dist
+    return ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, masses[k]) for k, v in zip(ks, values)})
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):
@@ -267,8 +288,8 @@ def conditional_moment_residual(dist: ConditionalDistribution, j: int):
 
 def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> ConditionalDistribution:
     """Chain an order-n kernel after every atom of `dist`: mass at index
-    i flows to indices i + j, j in (n), weighted by the inner kernel
-    built at the atom's value.
+    i flows to indices i + j, j in (n), weighted by the inner kernel at
+    lattice index i of one lift of dist.y (see _kernel_at).
 
     The result is supported on (m + n - 1) and, when `check` is set, is
     asserted to coincide atom-for-atom with the directly built
@@ -278,42 +299,24 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     if n < 2:
         raise ValueError(f"inner kernel order must be >= 2, got {n}")
     m, y, q = dist.m, dist.y, dist.q
-    out_values: dict[int, object] = {}
-    out_masses: dict[int, object] = {}
+    lift = _lift_state(y, q)
+    out_values, out_masses = {}, {}  # by index i + j
     for i in sorted(dist.atoms):
         outer = dist.atoms[i]
-        inner = build_distribution(n, outer.value, q)
-        for j in sorted(inner.atoms):
-            inner_atom = inner.atoms[j]
-            k = i + j
-            if k in out_masses:
-                out_masses[k] = out_masses[k] + outer.mass * inner_atom.mass
-                # chi_j(chi_i(y)) = chi_{i+j}(y): collisions must agree
-                if dist.exact and out_values[k] != inner_atom.value:
-                    raise CompositionMismatch(
-                        f"value collision at index {k}: {out_values[k]} vs {inner_atom.value}"
-                    )
-            else:
-                out_masses[k] = outer.mass * inner_atom.mass
-                out_values[k] = inner_atom.value
+        for j, inner_atom in sorted(_kernel_at(n, i, y, lift).atoms.items()):
+            k, mass = i + j, outer.mass * inner_atom.mass
+            out_masses[k] = out_masses[k] + mass if k in out_masses else mass
+            out_values[k] = inner_atom.value
 
     expected_support = index_set(m + n - 1)
     if sorted(out_masses) != expected_support:
-        raise CompositionMismatch(
-            f"composed support {sorted(out_masses)} != ({m + n - 1}) = {expected_support}"
-        )
-    composed = ConditionalDistribution(
-        m=m + n - 1,
-        y=y,
-        q=q,
-        atoms={k: Atom(out_values[k], out_masses[k]) for k in expected_support},
-    )
+        raise CompositionMismatch(f"composed support {sorted(out_masses)} != ({m + n - 1}) = {expected_support}")
+    atoms = {k: Atom(out_values[k], out_masses[k]) for k in expected_support}
+    composed = ConditionalDistribution(m=m + n - 1, y=y, q=q, atoms=atoms)
     if check:
         deviation, agrees = _matches_direct(composed)
         if not agrees:
-            raise CompositionMismatch(
-                f"compose({m},{n}) at y={y}, q={q}: max atom deviation {deviation}"
-            )
+            raise CompositionMismatch(f"compose({m},{n}) at y={y}, q={q}: max atom deviation {deviation}")
     return composed
 
 
@@ -362,10 +365,7 @@ def verify_chapman_kolmogorov(
     # (label, steps k of the outer kernel, order of the kernel composed after it)
     stages = [("one-step", 1, n), ("multi-step", 2, m)] if multi_step else [("one-step", 1, n)]
     for label, k, inner in stages:
-        try:
-            composed = compose(k_step_distribution(m, k, y, q), inner, check=False)
-        except CompositionMismatch as exc:
-            raise _fail(report, {"stage": label, "error": str(exc)}) from exc
+        composed = compose(k_step_distribution(m, k, y, q), inner, check=False)
         deviation, agrees = _matches_direct(composed)
         report.points_checked += composed.m
         report.max_residual = max(report.max_residual, deviation)
@@ -456,27 +456,25 @@ def simulate(config: ChainConfig) -> Trajectory:
     """Run the chain from y0 = config.initial_y for config.steps transitions.
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
-    step draws k in (m) from the kernel at i and records chi_{i+k}(y0),
-    computed directly from y0 in the float lane, so a state's float is a
-    function of its index.  Both the kernel and chi_i(y0) are formed once
-    per visited index.  A recorded state beyond config.max_state, the start
-    revisited included, raises StateOverflow rather than continuing with
-    overflowing floats.
+    step draws k in (m) from the kernel at i and records that atom's own
+    support value chi_{i+k}(y0).  y0 is lifted once and every kernel is read
+    at its lattice index of that lift (see _kernel_at), once per visited
+    index, so a state's float is a function of its index.  A recorded state
+    beyond config.max_state, the start revisited included, raises
+    StateOverflow rather than continuing with overflowing floats.
     """
     rng = random.Random(config.seed)
     q, y0 = float(config.q), float(config.initial_y)
-    index, states, kernels, lattice = 0, [y0], {}, {}
+    lift = _lift_state(y0, q)
+    index, states, kernels = 0, [y0], {}
     for step in range(config.steps):
-        if index not in kernels:  # built at this index's state, states[-1]
-            kernels[index] = build_distribution(config.m, states[-1], q)
-        index += _draw_index(kernels[index], rng)  # built here: drawn without check_masses
-        if index not in lattice:
-            lattice[index] = float(chi(index, y0, q))
-        state = lattice[index]
+        if index not in kernels:
+            kernels[index] = _kernel_at(config.m, index, y0, lift)
+        kernel = kernels[index]
+        k = _draw_index(kernel, rng)  # built here: drawn without check_masses
+        index, state = index + k, kernel.atoms[k].value
         if abs(state) > config.max_state:
-            raise StateOverflow(
-                f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}"
-            )
+            raise StateOverflow(f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}")
         states.append(state)
     return Trajectory(states=states, config=config)
 

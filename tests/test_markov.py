@@ -235,6 +235,52 @@ class TestBuildDistribution:
             build_distribution(2, y, q)
 
 
+class TestLatticeKernels:
+    """The kernel at lattice index i of a start y is the kernel at chi_i(y):
+    chi_k o chi_i = chi_{i+k} on the path compose and simulate take."""
+
+    @staticmethod
+    def at_index(m, i, y, q):
+        import qchain.markov as markov_mod
+        from qchain.spectra import _lift_state
+
+        return markov_mod._kernel_at(m, i, y, _lift_state(y, q))
+
+    def test_exact_kernel_at_an_index_is_the_kernel_at_its_state(self):
+        for q in (Q4, Fraction(9, 4)):
+            for y in (Y1, Fraction(-3, 7), Fraction(5, 2)):
+                for m in range(2, 7):
+                    for i in range(-4, 5):
+                        direct = build_distribution(m, chi(i, y, q), q)
+                        lattice = self.at_index(m, i, y, q)
+                        assert lattice.y == direct.y and lattice.atoms == direct.atoms, (q, y, m, i)
+
+    def test_float_kernel_at_an_index_holds_the_stated_bound(self):
+        # the module docstring's 2e-14 relative bound for normal masses
+        for q in (2.25, 4.0, 16.0):
+            for y in (1.0, -3 / 7, 2.5):
+                for m in range(2, 13):
+                    for i in range(-8, 9):
+                        direct = build_distribution(m, chi(i, y, q), q)
+                        lattice = self.at_index(m, i, y, q)
+                        assert lattice.y == direct.y and lattice.indices() == direct.indices()
+                        for k, atom in direct.atoms.items():
+                            mine = lattice.atoms[k]
+                            assert abs(mine.value - atom.value) <= 2e-14 * max(1.0, abs(atom.value)), (q, y, m, i, k)
+                            if atom.mass >= sys.float_info.min:
+                                assert abs(mine.mass - atom.mass) <= 2e-14 * atom.mass, (q, y, m, i, k)
+
+    def test_errors_name_the_state_at_the_index(self):
+        state = repr(float(chi(510, 1.0, 16.0)))
+        with pytest.raises(DegenerateSupport, match=f"at state y={re.escape(state)} "):
+            self.at_index(3, 510, 1.0, 16.0)
+        kernel = self.at_index(3, 2, Y1, Q4)
+        assert kernel.y == chi(2, Y1, Q4) != Y1
+        kernel.atoms[0] = kernel.atoms[0]._replace(mass=kernel.atoms[0].mass + 1)
+        with pytest.raises(InvalidKernel, match=re.escape(f"y={chi(2, Y1, Q4)},")):
+            kernel.check_masses()
+
+
 class TestMomentLaw:
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_defining_rows_vanish_exactly(self, m):
@@ -292,8 +338,8 @@ class TestComposition:
         assert chained.max_deviation(k_step_distribution(2, 3, Y1, Q4)) == 0.0
 
     def test_composed_kernels_are_pinned(self):
-        # inner kernels sit at quadratic states, whose radicals come from
-        # quad_sqrt: any change to a composed support point or mass shows here
+        # inner kernels sit at lattice indices of the start, read from its one
+        # lift: any change to a composed support point or mass shows here
         qs = (Q4, Fraction(9, 4))
         ys = (Y1, Fraction(-3, 7), Fraction(5, 2))
         orders = ((2, 2), (3, 2), (2, 3))
@@ -378,11 +424,13 @@ class TestChapmanKolmogorov:
         with pytest.raises(ValueError, match="'bogus'"):
             verify_chapman_kolmogorov(2, 2, Fraction(1), Fraction(4), mode="bogus")
 
-    def test_each_inner_kernel_extracts_one_radical(self):
-        # inner kernels sit at quadratic states: 3 after the order-3 kernel
-        # and 5 after the order-5 one, each taking its radical by quad_sqrt once
+    def test_inner_kernels_are_read_from_one_lift(self):
+        # inner kernels sit at lattice indices of the start, so no radical is
+        # extracted in Q(sqrt(D)); each stage lifts the start three times:
+        # the outer build, the composition and the direct build
         check = lambda: verify_chapman_kolmogorov(3, 3, Fraction(2, 3), Fraction(4), mode="exact")
-        assert calls_of("quad_sqrt", check) == 3 + 5
+        assert calls_of("quad_sqrt", check) == 0
+        assert calls_of("_lift_state", check) == 2 * 3
 
     def test_failure_report(self, monkeypatch):
         import qchain.markov as markov_mod
@@ -542,13 +590,16 @@ class TestSimulate:
         assert len(set(traj.states)) == len(set(self.lattice_indices(traj)))
 
     def test_one_kernel_build_per_visited_index(self, monkeypatch):
+        import qchain.markov as markov_mod
+
         calls = []
+        kernel_at = markov_mod._kernel_at
 
-        def counting_build(m, y, *args, **kwargs):
-            calls.append(y)
-            return build_distribution(m, y, *args, **kwargs)
+        def counting_kernel_at(m, i, *args):
+            calls.append(i)
+            return kernel_at(m, i, *args)
 
-        monkeypatch.setattr("qchain.markov.build_distribution", counting_build)
+        monkeypatch.setattr(markov_mod, "_kernel_at", counting_kernel_at)
         traj = simulate(ChainConfig(q=4.0, m=3, initial_y=0.3, steps=2000, seed=8))
         sources = set(self.lattice_indices(traj)[:-1])  # the last state draws nothing
         assert len(calls) == len(set(calls)) == len(sources)
@@ -615,6 +666,22 @@ class TestSerialization:
         assert doc["q"] == "4" and doc["y"] == "1"
         assert [entry["k"] for entry in doc["atoms"]] == [-1, 1]
         assert all(isinstance(entry["value"], str) for entry in doc["atoms"])
+
+    def test_digit_limit_names_the_kernel(self):
+        # an exact kernel whose integers pass the int/str digit limit, lowered
+        # to its minimum so that a small kernel reaches it
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        dist = build_distribution(28, Fraction(-137, 23), Fraction(9, 4))
+        doc = json.loads(dist.to_json())
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for call in (dist.to_json, lambda: ConditionalDistribution.from_json_dict(doc)):
+                with pytest.raises(ValueError, match=r"m=28, y=-137/23, q=9/4 .*sys\.set_int_max_str_digits"):
+                    call()
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_float_json_uses_numbers(self):
         doc = build_distribution(2, 1.0, 4.0).to_json_dict()
