@@ -26,20 +26,21 @@ satisfy the moment law
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
 
 Atoms are keyed by the integer index k, never by floating value.  As
-chi_k o chi_i = chi_{i+k}, a composition or a chain reads every kernel at
-an index i of one lift of its start y0: support chi_{i+k}(y0), z = z0 q^i.
+chi_k o chi_i = chi_{i+k}, one builder per start y0 and order gives the
+kernel at each lattice index i (support chi_{i+k}(y0), z = z0 q^i).
 Accumulating mass by index sum i + j, an order-m kernel composed with
 order-n ones lands exactly on the order-(m+n-1) kernel, atom by atom.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
@@ -213,64 +214,66 @@ def _require_int(name: str, value) -> None:
 
 
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
-    """Construct the one-step kernel at state y: _kernel_at index 0 of y's
-    lift.  `strict` runs check_masses on the result; a given sqrt_q must
-    equal the lifted sqrt(q) (ValueError otherwise), in both lanes."""
+    """Construct the one-step kernel at state y: index 0 of a fresh
+    _lattice_kernels(m, y, lift).  `strict` runs check_masses on the result;
+    a given sqrt_q must equal the lifted sqrt(q) (ValueError otherwise)."""
     _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
     lift = _lift_state(y, q)
     if sqrt_q is not None and sqrt_q != lift[2]:
         raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {lift[2]} at q = {lift[3]}")
-    dist = _kernel_at(m, 0, y, lift)
+    dist = _lattice_kernels(m, y, lift)(0)
     return dist.check_masses() if strict else dist
 
 
-def _kernel_at(m: int, i: int, y0, lift) -> ConditionalDistribution:
-    """The order-m kernel at lattice index i of the start y0, whose
-    spectra._lift_state is `lift`: its state is chi_i(y0) (y0 at i = 0),
-    named in its errors, and its support points are chi_{i+k}(y0), k in (m),
-    read through spectra._chi.  The state's z is z0 q^i, so the masses are
-    [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
-    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring), one loop
-    for both lanes, the binomials read from one q-Pascal row
-    (qcore._q_binomial_row at 1/q)."""
+def _lattice_kernels(m: int, y0, lift) -> Callable[[int], ConditionalDistribution]:
+    """kernel_at(i): the order-m kernel at lattice index i of the start y0,
+    whose spectra._lift_state is `lift`.  The lane check, z0, the index set
+    and the q-Pascal row (qcore._q_binomial_row at 1/q) are formed once.
+    Kernel i's state is chi_i(y0) (y0 at i = 0), named in its errors, its
+    support is chi_{i+k}(y0), k in (m), and its z is z0 q^i, so its masses
+    are [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
+    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring), one
+    loop for both lanes."""
     lifted, radical, sq, q = lift
     exact = _is_exact(q)
     if not exact:  # a float q or start puts the whole kernel in the float lane
         y0 = lifted
         _float_q(q, y=y0)
-    y = _chi(i, lifted, radical, sq, q) if i else y0
-
     ks = index_set(m)
-    try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
-        values = [_chi(i + k, lifted, radical, sq, q) for k in ks]
-        # z0 = e^{2 theta_0} and 1/z0, with e^{2|theta_0|} >= 1 formed from |y0| so
-        # that y0 + sqrt(D) never cancels; the factors depend on i + e, e = (k+h)/2, alone
-        s = abs(y0) + radical
-        big = (q - 1) / 4 * s * s
-        z, z_inv = (big, 1 / big) if y0 >= 0 else (1 / big, big)
-        below = {e: 1 / (1 + z * q ** (i + e)) for e in range(2 - m, m - 1)}  # factors for h < k
-        above = {e: 1 / (1 + z_inv / q ** (i + e)) for e in range(2 - m, m - 1)}  # factors for h > k
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise DegenerateSupport(f"support leaves the double range at state y={y} (m={m}, q={q})") from exc
-
-    # support must consist of m distinct, finite points (strictly increasing in k)
-    for left, right in zip(values, values[1:]):
-        if not (left < right if exact else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
-            cause = "points collide" if exact or all(map(math.isfinite, values)) else "leaves the double range"
-            raise DegenerateSupport(f"support {cause} at state y={y} (m={m}, q={q})")
-
-    masses = {}
+    # z0 = e^{2 theta_0} and 1/z0, with e^{2|theta_0|} >= 1 formed from |y0| so
+    # that y0 + sqrt(D) never cancels; the factors depend on i + e, e = (k+h)/2, alone
+    s = abs(y0) + radical
+    big = (q - 1) / 4 * s * s
+    z, z_inv = (big, 1 / big) if y0 >= 0 else (1 / big, big)
     binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
-    for j, k in enumerate(reversed(ks)):
-        mass = binomials[j]
-        for h in ks:
-            if h != k:
-                mass = mass * (below if h < k else above)[(k + h) // 2]
-        masses[k] = mass
 
-    return ConditionalDistribution(m=m, y=y, q=q, atoms={k: Atom(v, masses[k]) for k, v in zip(ks, values)})
+    def kernel_at(i: int) -> ConditionalDistribution:
+        y = _chi(i, lifted, radical, sq, q) if i else y0
+        try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
+            values = [_chi(i + k, lifted, radical, sq, q) for k in ks]
+            # (factor for h < k, factor for h > k), both from one power p = q^{i+e}
+            factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise DegenerateSupport(f"support leaves the double range at state y={y} (m={m}, q={q})") from exc
+
+        # support must consist of m distinct, finite points (strictly increasing in k)
+        for left, right in zip(values, values[1:]):
+            if not (left < right if exact else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
+                cause = "points collide" if exact or all(map(math.isfinite, values)) else "leaves the double range"
+                raise DegenerateSupport(f"support {cause} at state y={y} (m={m}, q={q})")
+
+        atoms = {}
+        for k, value, mass in zip(ks, values, reversed(binomials)):  # mass starts at [m-1 choose j]_{1/q}
+            for h in ks:
+                if h != k:
+                    mass = mass * factors[(k + h) // 2][h > k]
+            atoms[k] = Atom(value, mass)
+
+        return ConditionalDistribution(m=m, y=y, q=q, atoms=atoms)
+
+    return kernel_at
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):
@@ -289,44 +292,42 @@ def conditional_moment_residual(dist: ConditionalDistribution, j: int):
 def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> ConditionalDistribution:
     """Chain an order-n kernel after every atom of `dist`: mass at index
     i flows to indices i + j, j in (n), weighted by the inner kernel at
-    lattice index i of one lift of dist.y (see _kernel_at).
+    lattice index i, read from one _lattice_kernels builder on dist.y.
 
-    The result is supported on (m + n - 1) and, when `check` is set, is
-    asserted to coincide atom-for-atom with the directly built
-    order-(m+n-1) kernel (CompositionMismatch otherwise).
+    The result is supported on (m + n - 1).  With `check`, dist and the
+    result must match the directly built order-m and order-(m+n-1)
+    kernels at dist.y, values included (CompositionMismatch otherwise).
     """
     _require_int("n", n)
     if n < 2:
         raise ValueError(f"inner kernel order must be >= 2, got {n}")
     m, y, q = dist.m, dist.y, dist.q
-    lift = _lift_state(y, q)
-    out_values, out_masses = {}, {}  # by index i + j
-    for i in sorted(dist.atoms):
-        outer = dist.atoms[i]
-        for j, inner_atom in sorted(_kernel_at(n, i, y, lift).atoms.items()):
+    inner_at = _lattice_kernels(n, y, _lift_state(y, q))
+    out = {}  # atoms by index i + j
+    for i, outer in sorted(dist.atoms.items()):
+        for j, inner_atom in sorted(inner_at(i).atoms.items()):
             k, mass = i + j, outer.mass * inner_atom.mass
-            out_masses[k] = out_masses[k] + mass if k in out_masses else mass
-            out_values[k] = inner_atom.value
+            out[k] = Atom(inner_atom.value, out[k].mass + mass if k in out else mass)
 
     expected_support = index_set(m + n - 1)
-    if sorted(out_masses) != expected_support:
-        raise CompositionMismatch(f"composed support {sorted(out_masses)} != ({m + n - 1}) = {expected_support}")
-    atoms = {k: Atom(out_values[k], out_masses[k]) for k in expected_support}
+    if sorted(out) != expected_support:
+        raise CompositionMismatch(f"composed support {sorted(out)} != ({m + n - 1}) = {expected_support}")
+    atoms = {k: out[k] for k in expected_support}
     composed = ConditionalDistribution(m=m + n - 1, y=y, q=q, atoms=atoms)
-    if check:
-        deviation, agrees = _matches_direct(composed)
+    for label, kernel in [(f"compose({m},{n}) outer kernel", dist), (f"compose({m},{n})", composed)] if check else []:
+        deviation, agrees = _matches_direct(kernel)
         if not agrees:
-            raise CompositionMismatch(f"compose({m},{n}) at y={y}, q={q}: max atom deviation {deviation}")
+            raise CompositionMismatch(f"{label} at y={y}, q={q}: max atom deviation {deviation}")
     return composed
 
 
-def _matches_direct(composed: ConditionalDistribution) -> tuple[float, bool]:
-    """The composed-vs-direct test behind compose(check=True) and
+def _matches_direct(kernel: ConditionalDistribution) -> tuple[float, bool]:
+    """The kernel-vs-direct test behind compose(check=True) and
     verify_chapman_kolmogorov: against the directly built kernel of the
-    same order, exact kernels must be identical and float ones within
-    1e-9 (see max_deviation).  Returns (deviation, passed)."""
-    deviation = composed.max_deviation(build_distribution(composed.m, composed.y, composed.q))
-    return deviation, deviation <= (0.0 if composed.exact else 1e-9)
+    same order and state, exact kernels must be identical and float ones
+    within 1e-9 (see max_deviation).  Returns (deviation, passed)."""
+    deviation = kernel.max_deviation(build_distribution(kernel.m, kernel.y, kernel.q))
+    return deviation, deviation <= (0.0 if kernel.exact else 1e-9)
 
 
 def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
@@ -431,7 +432,7 @@ class Trajectory:
 
     def write_metadata(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2)
+            json.dump(self.metadata(), fh, indent=2, default=float)  # exact config values as simulate reads them
             fh.write("\n")
 
 
@@ -457,20 +458,18 @@ def simulate(config: ChainConfig) -> Trajectory:
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
     step draws k in (m) from the kernel at i and records that atom's own
-    support value chi_{i+k}(y0).  y0 is lifted once and every kernel is read
-    at its lattice index of that lift (see _kernel_at), once per visited
-    index, so a state's float is a function of its index.  A recorded state
-    beyond config.max_state, the start revisited included, raises
-    StateOverflow rather than continuing with overflowing floats.
+    support value chi_{i+k}(y0).  Every kernel is read, once per visited
+    index, from one _lattice_kernels builder on y0's lift, so a state's
+    float is a function of its index.  A recorded state beyond
+    config.max_state, the start revisited included, raises StateOverflow
+    rather than continuing with overflowing floats.
     """
     rng = random.Random(config.seed)
     q, y0 = float(config.q), float(config.initial_y)
-    lift = _lift_state(y0, q)
-    index, states, kernels = 0, [y0], {}
+    kernel_at = functools.cache(_lattice_kernels(config.m, y0, _lift_state(y0, q)))
+    index, states = 0, [y0]
     for step in range(config.steps):
-        if index not in kernels:
-            kernels[index] = _kernel_at(config.m, index, y0, lift)
-        kernel = kernels[index]
+        kernel = kernel_at(index)
         k = _draw_index(kernel, rng)  # built here: drawn without check_masses
         index, state = index + k, kernel.atoms[k].value
         if abs(state) > config.max_state:

@@ -214,13 +214,13 @@ def index_sumset(m: int, n: int) -> list[int]:
 def _lift_state(y, q):
     """The one entry from a conditioning state to the coordinates chi reads:
     (y, radical, sqrt_q, q) with radical = sqrt(y^2 + 4/(q-1)) and q > 1
-    (else a ValueError naming q), taken once per start: every kernel on its
-    lattice is read from it (markov._kernel_at).  A float y or q puts both
-    in the float lane, a nan y included.  In the exact lane a rational y is
-    lifted into Q(sqrt(D)), D = y^2 + 4/(q-1), where the radical is sqrt(D)
-    (rational when D is a square); a QuadraticNumber state keeps its field
-    and the radical is extracted there (NotRepresentable when it does not
-    exist).
+    (else a ValueError naming q), taken once per start: a
+    markov._lattice_kernels builder reads every kernel on its lattice from
+    it.  A float y or q puts both in the float lane, a nan y included.  In
+    the exact lane a rational y is lifted into Q(sqrt(D)), D = y^2 +
+    4/(q-1), where the radical is sqrt(D) (rational when D is a square); a
+    QuadraticNumber state keeps its field and the radical is extracted
+    there (NotRepresentable when it does not exist).
     """
     q = _normalize_q(q)
     if not q > 1:

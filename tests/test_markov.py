@@ -236,15 +236,16 @@ class TestBuildDistribution:
 
 
 class TestLatticeKernels:
-    """The kernel at lattice index i of a start y is the kernel at chi_i(y):
-    chi_k o chi_i = chi_{i+k} on the path compose and simulate take."""
+    """The kernel at lattice index i of a start y, read from the builder of
+    y's lattice, is the kernel at chi_i(y): chi_k o chi_i = chi_{i+k} on the
+    path build_distribution, compose and simulate take."""
 
     @staticmethod
     def at_index(m, i, y, q):
         import qchain.markov as markov_mod
         from qchain.spectra import _lift_state
 
-        return markov_mod._kernel_at(m, i, y, _lift_state(y, q))
+        return markov_mod._lattice_kernels(m, y, _lift_state(y, q))(i)
 
     def test_exact_kernel_at_an_index_is_the_kernel_at_its_state(self):
         for q in (Q4, Fraction(9, 4)):
@@ -353,6 +354,23 @@ class TestComposition:
         with pytest.raises(ValueError):
             compose(build_distribution(2, Y1, Q4), 1)
 
+    @pytest.mark.parametrize("y, q", [(Y1, Q4), (1.0, 4.0)])
+    def test_check_holds_the_outer_values_to_the_direct_kernel(self, y, q):
+        # compose takes its support values from the lattice of dist.y, so an
+        # outer atom's edited value shows only against the direct kernel
+        dist = build_distribution(3, y, q)
+        dist.atoms[-2] = dist.atoms[-2]._replace(value=dist.atoms[-2].value + 1)
+        with pytest.raises(CompositionMismatch, match=r"^compose\(3,2\) outer kernel at "):
+            compose(dist, 2, check=True)
+        unchecked = compose(dist, 2, check=False)  # reads only the outer indices and masses
+        assert unchecked.max_deviation(build_distribution(4, y, q)) <= (0.0 if dist.exact else 1e-9)
+
+    def test_one_q_pascal_row_per_order(self):
+        # the outer build and the inner builder each form one row, however
+        # many outer atoms read it
+        check = lambda: compose(build_distribution(3, Y1, Q4), 3, check=False)
+        assert calls_of("_q_binomial_row", check) == 2
+
     def test_mismatch_detected(self):
         dist = build_distribution(2, Y1, Q4)
         tampered = ConditionalDistribution(
@@ -431,6 +449,12 @@ class TestChapmanKolmogorov:
         check = lambda: verify_chapman_kolmogorov(3, 3, Fraction(2, 3), Fraction(4), mode="exact")
         assert calls_of("quad_sqrt", check) == 0
         assert calls_of("_lift_state", check) == 2 * 3
+
+    def test_one_q_pascal_row_per_builder(self):
+        # each stage forms one row for the outer kernel, one for the inner
+        # builder and one for the direct kernel
+        check = lambda: verify_chapman_kolmogorov(3, 3, Fraction(2, 3), Fraction(4), mode="exact")
+        assert calls_of("_q_binomial_row", check) == 2 * 3
 
     def test_failure_report(self, monkeypatch):
         import qchain.markov as markov_mod
@@ -570,6 +594,14 @@ class TestSimulate:
         for line, state in zip(lines[1:], traj.states):
             assert float(line.split(",")[1]) == state
 
+    def test_metadata_of_exact_config_values(self, tmp_path):
+        # simulate runs on the floats of exact config values; the sidecar records them
+        cfg = ChainConfig(q=Fraction(4), m=2, initial_y=Fraction(1, 3), steps=3)
+        meta_path = tmp_path / "traj.meta.json"
+        simulate(cfg).write_metadata(meta_path)
+        meta = json.loads(meta_path.read_text())
+        assert meta["q"] == 4.0 and meta["initial_y"] == float(Fraction(1, 3)) and meta["states_recorded"] == 4
+
     @staticmethod
     def lattice_indices(traj):
         # y = (2/sqrt(q-1)) sinh(theta), and chi_i moves theta by i ln(q)/2
@@ -593,16 +625,25 @@ class TestSimulate:
         import qchain.markov as markov_mod
 
         calls = []
-        kernel_at = markov_mod._kernel_at
+        lattice_kernels = markov_mod._lattice_kernels
 
-        def counting_kernel_at(m, i, *args):
-            calls.append(i)
-            return kernel_at(m, i, *args)
+        def counting_lattice_kernels(*args):
+            kernel_at = lattice_kernels(*args)
 
-        monkeypatch.setattr(markov_mod, "_kernel_at", counting_kernel_at)
+            def counting_kernel_at(i):
+                calls.append(i)
+                return kernel_at(i)
+
+            return counting_kernel_at
+
+        monkeypatch.setattr(markov_mod, "_lattice_kernels", counting_lattice_kernels)
         traj = simulate(ChainConfig(q=4.0, m=3, initial_y=0.3, steps=2000, seed=8))
         sources = set(self.lattice_indices(traj)[:-1])  # the last state draws nothing
         assert len(calls) == len(set(calls)) == len(sources)
+
+    def test_one_q_pascal_row_per_run(self):
+        cfg = ChainConfig(q=4.0, m=3, initial_y=0.3, steps=2000, seed=8)
+        assert calls_of("_q_binomial_row", lambda: simulate(cfg)) == 1
 
     def test_moment_groups_are_lattice_sources(self):
         cfgs = [ChainConfig(q=4.0, m=2, initial_y=1.0, steps=6, seed=s) for s in range(300)]
