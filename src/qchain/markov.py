@@ -29,7 +29,9 @@ Atoms are keyed by the integer index k, never by floating value.  As
 chi_k o chi_i = chi_{i+k}, one builder per start y0 and order gives the
 kernel at each lattice index i (support chi_{i+k}(y0), z = z0 q^i).
 Accumulating mass by index sum i + j, an order-m kernel composed with
-order-n ones lands exactly on the order-(m+n-1) kernel, atom by atom.
+order-n ones lands exactly on the order-(m+n-1) kernel, atom by atom:
+compose(check=True) and verify_chapman_kolmogorov hold it there through
+spectra._check, the one verdict of every identity verifier.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, NamedTuple
 
 from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
-from .spectra import VerificationReport, _chi, _fail, _float_q, _lift_state, index_set
+from .spectra import VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q, _lift_state, _worst, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -181,9 +183,9 @@ class ConditionalDistribution:
     def max_deviation(self, other: "ConditionalDistribution") -> float:
         """Largest atom-wise gap against another kernel sharing the same
         index set (inf when the supports differ): value gaps relative to
-        max(1, |value|), mass gaps absolute.  Equal atoms are skipped and
-        unequal exact ones are differenced exactly, so 0.0 means identical;
-        a nan gap makes the result nan, which no tolerance accepts."""
+        max(1, |value|), mass gaps absolute, nan if any gap is.  Exact gaps
+        are rounded to floats, so one below the double range reads 0.0:
+        identity is decided by spectra._check (see _check_direct)."""
         if self.indices() != other.indices():
             return math.inf
         worst = 0.0
@@ -194,9 +196,7 @@ class ConditionalDistribution:
             if self.exact != other.exact:  # an exact kernel against a float one
                 mine, theirs = Atom(*map(float, mine)), Atom(*map(float, theirs))
             scale = max(1, abs(mine.value), abs(theirs.value))
-            for gap in (float(abs(mine.value - theirs.value) / scale), float(abs(mine.mass - theirs.mass))):
-                if gap > worst or math.isnan(gap):  # max() would drop a nan gap
-                    worst = gap
+            worst = _worst(worst, float(abs(mine.value - theirs.value) / scale), float(abs(mine.mass - theirs.mass)))
         return worst
 
 
@@ -295,8 +295,8 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     lattice index i, read from one _lattice_kernels builder on dist.y.
 
     The result is supported on (m + n - 1).  With `check`, dist and the
-    result must match the directly built order-m and order-(m+n-1)
-    kernels at dist.y, values included (CompositionMismatch otherwise).
+    result must pass _check_direct against the directly built order-m and
+    order-(m+n-1) kernels at dist.y (CompositionMismatch otherwise).
     """
     _require_int("n", n)
     if n < 2:
@@ -315,19 +315,26 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     atoms = {k: out[k] for k in expected_support}
     composed = ConditionalDistribution(m=m + n - 1, y=y, q=q, atoms=atoms)
     for label, kernel in [(f"compose({m},{n}) outer kernel", dist), (f"compose({m},{n})", composed)] if check else []:
-        deviation, agrees = _matches_direct(kernel)
-        if not agrees:
-            raise CompositionMismatch(f"{label} at y={y}, q={q}: max atom deviation {deviation}")
+        try:
+            _check_direct(VerificationReport("composition", {}), kernel, label)
+        except VerificationFailed as exc:
+            raise CompositionMismatch(f"{label} at y={y}, q={q}: {exc.report.witness}") from exc
     return composed
 
 
-def _matches_direct(kernel: ConditionalDistribution) -> tuple[float, bool]:
-    """The kernel-vs-direct test behind compose(check=True) and
-    verify_chapman_kolmogorov: against the directly built kernel of the
-    same order and state, exact kernels must be identical and float ones
-    within 1e-9 (see max_deviation).  Returns (deviation, passed)."""
-    deviation = kernel.max_deviation(build_distribution(kernel.m, kernel.y, kernel.q))
-    return deviation, deviation <= (0.0 if kernel.exact else 1e-9)
+def _check_direct(report: VerificationReport, kernel: ConditionalDistribution, stage: str) -> None:
+    """Hold `kernel` to the kernel build_distribution gives at its order and
+    state, one spectra._check point per atom at 1e-9: values and masses
+    identical in the exact lane; in the float lane values relative to
+    max(1, |value|), masses (at most 1) absolute.  The witness names stage and k."""
+    direct = build_distribution(kernel.m, kernel.y, kernel.q)
+    if kernel.indices() != direct.indices():
+        raise _fail(report, {"stage": stage, "indices": kernel.indices()})
+    for k, theirs in sorted(direct.atoms.items()):
+        mine = kernel.atoms[k]
+        witness = {"stage": stage, "k": k, "value": mine.value, "mass": mine.mass}
+        witness.update(direct_value=theirs.value, direct_mass=theirs.mass)
+        _check(report, kernel.exact, list(zip(mine, theirs)), 1e-9, witness)
 
 
 def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
@@ -349,8 +356,9 @@ def verify_chapman_kolmogorov(
     multi_step: bool = True,
 ) -> VerificationReport:
     """Check kernel consistency: compose(kernel_m, n) == kernel_{m+n-1},
-    atom for atom (exact mode: identical; float mode: support values within
-    1e-9 relative to max(1, |value|) and masses within 1e-9 absolute).
+    atom for atom through _check_direct, the verdict of every identity
+    verifier (exact mode: identical; float mode: values within 1e-9
+    relative to max(1, |value|), masses within 1e-9 absolute).
     With `multi_step`, additionally compose the 2-step kernel with a further
     order-m step and match it against the 3-step kernel.
     """
@@ -366,12 +374,7 @@ def verify_chapman_kolmogorov(
     # (label, steps k of the outer kernel, order of the kernel composed after it)
     stages = [("one-step", 1, n), ("multi-step", 2, m)] if multi_step else [("one-step", 1, n)]
     for label, k, inner in stages:
-        composed = compose(k_step_distribution(m, k, y, q), inner, check=False)
-        deviation, agrees = _matches_direct(composed)
-        report.points_checked += composed.m
-        report.max_residual = max(report.max_residual, deviation)
-        if not agrees:
-            raise _fail(report, {"stage": label, "max_deviation": deviation})
+        _check_direct(report, compose(k_step_distribution(m, k, y, q), inner, check=False), label)
     return report
 
 

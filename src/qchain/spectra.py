@@ -358,15 +358,11 @@ def _factor_degrees(m: int) -> range:
 # ---------------------------------------------------------------------------
 
 
-def rational_grid(side: int, lo=Fraction(-2), hi=Fraction(2)) -> list[Fraction]:
-    """side evenly spaced rationals covering [lo, hi]."""
+def rational_grid(side: int) -> list[Fraction]:
+    """side evenly spaced rationals covering [-2, 2] (just -2 at side 1)."""
     if side < 1:
         raise ValueError("grid side must be >= 1")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if side == 1:
-        return [lo]
-    step = (hi - lo) / (side - 1)
-    return [lo + step * i for i in range(side)]
+    return [Fraction(4 * i, max(side - 1, 1)) - 2 for i in range(side)]
 
 
 def verify_factorization(

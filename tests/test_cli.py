@@ -59,6 +59,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["points_checked"] == 25
 
+    def test_factorization_float_grid(self, capsys):
+        argv = ("verify", "factorization", "--m", "3", "--q", "4", "--mode", "float", "--grid-side", "6")
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True and doc["parameters"]["mode"] == "float"
+        assert doc["points_checked"] == 36 and 0 < doc["max_residual"] < 1e-8
+
     def test_hermite_limit(self, capsys):
         code, out, _ = run(capsys, "verify", "hermite-limit", "--m", "2", "--x", "1/2", "--y", "1/3")
         assert code == 0 and json.loads(out)["passed"] is True

@@ -35,7 +35,7 @@ from qchain.markov import (
     verify_chapman_kolmogorov,
 )
 from qchain.qcore import eval_H_seq
-from qchain.spectra import VerificationFailed, chi, index_set, index_sumset
+from qchain.spectra import VerificationFailed, VerificationReport, chi, index_set, index_sumset
 
 Y1, Q4 = Fraction(1), Fraction(4)
 
@@ -382,6 +382,27 @@ class TestComposition:
         with pytest.raises(CompositionMismatch):
             compose(tampered, 2)
 
+    def test_check_holds_exact_kernels_to_identity(self):
+        # two end masses moved by +-1e-400: the gap rounds to 0.0 as a float,
+        # yet the composed atoms are not the direct ones
+        dist = build_distribution(3, Y1, Q4)
+        low, high = dist.indices()[0], dist.indices()[-1]
+        nudge = Fraction(1, 10**400)
+        dist.atoms[low] = dist.atoms[low]._replace(mass=dist.atoms[low].mass + nudge)
+        dist.atoms[high] = dist.atoms[high]._replace(mass=dist.atoms[high].mass - nudge)
+        unchecked = compose(dist, 2, check=False)
+        direct = build_distribution(4, Y1, Q4)
+        assert unchecked.atoms != direct.atoms and unchecked.max_deviation(direct) == 0.0
+        with pytest.raises(CompositionMismatch, match=r"^compose\(3,2\) outer kernel at y=1, q=4: .*'k': '-2'"):
+            compose(dist, 2, check=True)
+
+    def test_check_refuses_an_outer_kernel_off_its_index_set(self):
+        # (-4, 4) + (5) covers (9), so only the direct match sees the missing atoms
+        dist = build_distribution(5, Y1, Q4)
+        dist.atoms = {k: dist.atoms[k] for k in (-4, 4)}
+        with pytest.raises(CompositionMismatch, match=r"outer kernel at .*'indices': '\[-4, 4\]'"):
+            compose(dist, 5)
+
     def test_nan_masses_fail_the_direct_match(self, monkeypatch):
         import qchain.markov as markov_mod
 
@@ -390,7 +411,8 @@ class TestComposition:
             m=2, y=real.y, q=real.q, atoms={k: Atom(a.value, math.nan) for k, a in real.atoms.items()}
         )
         assert math.isnan(nan_copy.max_deviation(real)) and math.isnan(real.max_deviation(nan_copy))
-        assert not markov_mod._matches_direct(nan_copy)[1]
+        with pytest.raises(VerificationFailed):
+            markov_mod._check_direct(VerificationReport("composition", {}), nan_copy, "outer")
         with pytest.raises(CompositionMismatch):
             compose(nan_copy, 2)  # nan outer masses in the composed kernel
         real_build = markov_mod.build_distribution
@@ -475,6 +497,25 @@ class TestChapmanKolmogorov:
             markov_mod.verify_chapman_kolmogorov(2, 2, Y1, Q4, multi_step=False)
         assert not exc.value.report.passed
         assert exc.value.report.witness is not None
+
+    def test_nan_direct_kernel_reports_a_nan_residual(self, monkeypatch):
+        import qchain.markov as markov_mod
+
+        real_build = markov_mod.build_distribution
+
+        def nan_direct(m, y, q, sqrt_q=None, strict=False):
+            dist = real_build(m, y, q, sqrt_q, strict)
+            if m == 4:  # the direct kernel of the multi-step stage
+                dist.atoms[1] = dist.atoms[1]._replace(mass=math.nan)
+            return dist
+
+        monkeypatch.setattr(markov_mod, "build_distribution", nan_direct)
+        with pytest.raises(VerificationFailed) as exc:
+            markov_mod.verify_chapman_kolmogorov(2, 2, 0.3, 4.0)
+        report = exc.value.report
+        assert math.isnan(report.max_residual) and math.isnan(report.witness["residual"])
+        assert (report.witness["stage"], report.witness["k"]) == ("multi-step", "1")
+        assert report.points_checked == 3 + 3  # the one-step kernel's atoms, then -3, -1 and 1
 
 
 class TestSampling:

@@ -210,6 +210,23 @@ class TestFactorizationForms:
         assert report.passed
         assert report.max_residual < 1e-8
 
+    def test_exact_counterexample_names_the_point_and_routes(self):
+        # sqrt_q = 3 sets the recurrence's rho for q = 9, not q = 4
+        with pytest.raises(VerificationFailed) as exc:
+            verify_factorization(3, Fraction(4), sqrt_q=Fraction(3))
+        report = exc.value.report
+        assert report.passed is False and report.points_checked == 1
+        assert set(report.witness) == {"x", "y", "recurrence", "sum_form", "product_form"}
+        assert report.witness["sum_form"] == report.witness["product_form"] != report.witness["recurrence"]
+
+    def test_rational_grid_spans_minus_two_to_two(self):
+        assert rational_grid(1) == [-2]
+        assert rational_grid(5) == [-2, -1, 0, 1, 2]
+        assert rational_grid(4) == [-2, Fraction(-2, 3), Fraction(2, 3), 2]
+        assert all(type(v) is Fraction for v in rational_grid(1) + rational_grid(4))
+        with pytest.raises(ValueError):
+            rational_grid(0)
+
     def test_verify_rejects_small_grids(self):
         with pytest.raises(ValueError):
             verify_factorization(3, Fraction(4), sample_points=[(Fraction(0), Fraction(0))] * 16)
