@@ -1,6 +1,8 @@
 """Command-line surface: evaluate polynomial families, verify identities,
 build transition kernels, and simulate chains, with machine-readable
-output.
+output.  Each `eval` family and each `verify` identity is one row of
+FAMILIES or VERIFIERS: the flags it needs, the lane its scalars parse in
+and the library call it makes, so a new verb is one new row.
 
 Exit codes form a contract usable from CI:
 
@@ -14,30 +16,13 @@ Exit codes form a contract usable from CI:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
-from . import markov, spectra
+from . import markov, qcore, spectra
 from .exactnum import format_scalar
-from .markov import (
-    ChainConfig,
-    CompositionMismatch,
-    InvalidKernel,
-    build_distribution,
-    simulate,
-    verify_chapman_kolmogorov,
-)
-from .qcore import eval_B, eval_H, eval_h, eval_p
-from .spectra import (
-    VerificationFailed,
-    hermite_limit_identity,
-    verify_addition_formula,
-    verify_B_H_relation,
-    verify_chi_properties,
-    verify_factorization,
-    verify_h_H_relation,
-)
+from .markov import ChainConfig, CompositionMismatch, InvalidKernel, build_distribution, simulate
+from .spectra import VerificationFailed
 
 
 class CLIParseError(ValueError):
@@ -57,59 +42,53 @@ def _require(args, *names):
             raise CLIParseError(f"--{name.replace('_', '-')} is required here")
 
 
+def _grid(side):
+    """The side x side (x, y) grid of spectra.rational_grid(side), or None for the verifier's own."""
+    if side is None:
+        return None
+    axis = spectra.rational_grid(side)
+    return [(x, y) for x in axis for y in axis]
+
+
+# One row per verb: the flags _require checks, the lane its scalars parse in
+# (None: --mode's) and a call given the args and s(text), that lane's parse.
+# Each call looks its function up when it runs.
+FAMILIES = {
+    "H": (("q", "x"), None, lambda a, s: qcore.eval_H(a.n, s(a.x), s(a.q))),
+    "h": (("q", "x"), None, lambda a, s: qcore.eval_h(a.n, s(a.x), s(a.q))),
+    "B": (("q", "y"), None, lambda a, s: qcore.eval_B(a.n, s(a.y), s(a.q))),
+    "p": (("q", "x", "y", "rho"), None, lambda a, s: qcore.eval_p(a.n, s(a.x), s(a.y), s(a.rho), s(a.q))),
+}
+
+VERIFIERS = {
+    "factorization": (
+        ("m", "q"), None, lambda a, s: spectra.verify_factorization(a.m, s(a.q), sample_points=_grid(a.grid_side))
+    ),
+    "addition": (
+        ("n", "theta", "phi", "q"), "float", lambda a, s: spectra.verify_addition_formula(a.n, a.theta, a.phi, s(a.q))
+    ),
+    "h-H": (("m", "x", "q"), "float", lambda a, s: spectra.verify_h_H_relation(a.m, s(a.x), s(a.q))),
+    "B-H": (("n", "y", "q"), "float", lambda a, s: spectra.verify_B_H_relation(a.n, s(a.y), s(a.q))),
+    "chi": (("m", "n", "y", "q"), None, lambda a, s: spectra.verify_chi_properties(a.m, a.n, s(a.y), s(a.q))),
+    "hermite-limit": (("m", "x", "y"), "exact", lambda a, s: spectra.hermite_limit_identity(a.m, s(a.x), s(a.y))),
+    "ck": (("m", "n", "y", "q"), None, lambda a, s: markov.verify_chapman_kolmogorov(a.m, a.n, s(a.y), s(a.q))),
+}
+
+
+def _run(table, key, args):
+    """Look up the row of `key`, check its flags and run its call."""
+    flags, lane, call = table[key]
+    _require(args, *flags)
+    return call(args, lambda text: _scalar(text, lane or args.mode))
+
+
 def cmd_eval(args) -> int:
-    mode = args.mode
-    _require(args, "q")
-    q = _scalar(args.q, mode)
-    if args.family in ("H", "h"):
-        _require(args, "x")
-        x = _scalar(args.x, mode)
-        value = eval_H(args.n, x, q) if args.family == "H" else eval_h(args.n, x, q)
-    elif args.family == "B":
-        _require(args, "y")
-        value = eval_B(args.n, _scalar(args.y, mode), q)
-    else:
-        _require(args, "x", "y", "rho")
-        value = eval_p(args.n, _scalar(args.x, mode), _scalar(args.y, mode), _scalar(args.rho, mode), q)
-    print(format_scalar(value))
+    print(format_scalar(_run(FAMILIES, args.family, args)))
     return 0
 
 
 def cmd_verify(args) -> int:
-    identity = args.identity
-    mode = args.mode
-    if identity == "factorization":
-        _require(args, "m", "q")
-        points = None
-        if args.grid_side is not None:
-            axis = spectra.rational_grid(args.grid_side)
-            if mode == "float":
-                axis = [float(v) for v in axis]
-            points = [(x, y) for x in axis for y in axis]
-        report = verify_factorization(args.m, _scalar(args.q, mode), sample_points=points)
-    elif identity == "addition":
-        _require(args, "n", "theta", "phi", "q")
-        report = verify_addition_formula(args.n, args.theta, args.phi, _scalar(args.q, "float"))
-    elif identity == "h-H":
-        _require(args, "m", "x", "q")
-        report = verify_h_H_relation(args.m, _scalar(args.x, "float"), _scalar(args.q, "float"))
-    elif identity == "B-H":
-        _require(args, "n", "y", "q")
-        report = verify_B_H_relation(args.n, _scalar(args.y, "float"), _scalar(args.q, "float"))
-    elif identity == "chi":
-        _require(args, "m", "n", "y", "q")
-        report = verify_chi_properties(args.m, args.n, _scalar(args.y, mode), _scalar(args.q, mode))
-    elif identity == "hermite-limit":
-        _require(args, "m", "x", "y")
-        report = hermite_limit_identity(args.m, _scalar(args.x, "exact"), _scalar(args.y, "exact"))
-    elif identity == "ck":
-        _require(args, "m", "n", "y", "q")
-        report = verify_chapman_kolmogorov(
-            args.m, args.n, _scalar(args.y, mode), _scalar(args.q, mode), mode=mode
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIParseError(f"unknown identity {identity!r}")
-    print(report.to_json())
+    print(_run(VERIFIERS, args.identity, args).to_json())
     return 0
 
 
@@ -147,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one polynomial family at a point")
-    pe.add_argument("family", choices=["H", "h", "B", "p"])
+    pe.add_argument("family", choices=list(FAMILIES))
     pe.add_argument("n", type=int, help="degree")
     pe.add_argument("--x")
     pe.add_argument("--y")
@@ -157,10 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run one identity verifier, print a JSON report")
-    pv.add_argument(
-        "identity",
-        choices=["factorization", "addition", "h-H", "B-H", "chi", "hermite-limit", "ck"],
-    )
+    pv.add_argument("identity", choices=list(VERIFIERS))
     pv.add_argument("--m", type=int)
     pv.add_argument("--n", type=int)
     pv.add_argument("--x")
@@ -213,7 +189,7 @@ def main(argv=None) -> int:
     except InvalidKernel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ArithmeticError, OverflowError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     finally:

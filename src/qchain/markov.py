@@ -215,31 +215,30 @@ def _require_int(name: str, value) -> None:
 
 def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y: index 0 of a fresh
-    _lattice_kernels(m, y, lift).  `strict` runs check_masses on the result;
-    a given sqrt_q must equal the lifted sqrt(q) (ValueError otherwise)."""
+    _lattice_kernels(m, lift) on y's lift.  `strict` runs check_masses on
+    the result; a given sqrt_q must equal the lifted sqrt(q) (ValueError otherwise)."""
     _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
     lift = _lift_state(y, q)
     if sqrt_q is not None and sqrt_q != lift[2]:
         raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {lift[2]} at q = {lift[3]}")
-    dist = _lattice_kernels(m, y, lift)(0)
+    dist = _lattice_kernels(m, lift)(0)
     return dist.check_masses() if strict else dist
 
 
-def _lattice_kernels(m: int, y0, lift) -> Callable[[int], ConditionalDistribution]:
+def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     """kernel_at(i): the order-m kernel at lattice index i of the start y0,
-    whose spectra._lift_state is `lift`.  The lane check, z0, the index set
-    and the q-Pascal row (qcore._q_binomial_row at 1/q) are formed once.
-    Kernel i's state is chi_i(y0) (y0 at i = 0), named in its errors, its
-    support is chi_{i+k}(y0), k in (m), and its z is z0 q^i, so its masses
-    are [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
-    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring), one
-    loop for both lanes."""
-    lifted, radical, sq, q = lift
+    where lift = (y0, radical, sqrt_q, q) is spectra._lift_state's: y0 is the
+    start in its lane, a float, Fraction or QuadraticNumber.  The lane check,
+    z0, the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are
+    formed once.  Kernel i's state is chi_i(y0) (y0 at i = 0), named in its
+    errors, its support is chi_{i+k}(y0), k in (m), and its z is z0 q^i, so
+    its masses are [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
+    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring)."""
+    y0, radical, _, q = lift
     exact = _is_exact(q)
     if not exact:  # a float q or start puts the whole kernel in the float lane
-        y0 = lifted
         _float_q(q, y=y0)
     ks = index_set(m)
     # z0 = e^{2 theta_0} and 1/z0, with e^{2|theta_0|} >= 1 formed from |y0| so
@@ -250,9 +249,9 @@ def _lattice_kernels(m: int, y0, lift) -> Callable[[int], ConditionalDistributio
     binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
 
     def kernel_at(i: int) -> ConditionalDistribution:
-        y = _chi(i, lifted, radical, sq, q) if i else y0
+        y = _chi(i, *lift) if i else y0
         try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
-            values = [_chi(i + k, lifted, radical, sq, q) for k in ks]
+            values = [_chi(i + k, *lift) for k in ks]
             # (factor for h < k, factor for h > k), both from one power p = q^{i+e}
             factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
         except (OverflowError, ZeroDivisionError) as exc:
@@ -302,7 +301,7 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     if n < 2:
         raise ValueError(f"inner kernel order must be >= 2, got {n}")
     m, y, q = dist.m, dist.y, dist.q
-    inner_at = _lattice_kernels(n, y, _lift_state(y, q))
+    inner_at = _lattice_kernels(n, _lift_state(y, q))
     out = {}  # atoms by index i + j
     for i, outer in sorted(dist.atoms.items()):
         for j, inner_atom in sorted(inner_at(i).atoms.items()):
@@ -469,7 +468,7 @@ def simulate(config: ChainConfig) -> Trajectory:
     """
     rng = random.Random(config.seed)
     q, y0 = float(config.q), float(config.initial_y)
-    kernel_at = functools.cache(_lattice_kernels(config.m, y0, _lift_state(y0, q)))
+    kernel_at = functools.cache(_lattice_kernels(config.m, _lift_state(y0, q)))
     index, states = 0, [y0]
     for step in range(config.steps):
         kernel = kernel_at(index)

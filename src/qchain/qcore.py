@@ -107,7 +107,7 @@ def _q_table(n: int, q) -> list:
     q_bracket, q_factorial, q_pochhammer and every family's (a_i, b_i).  At
     i = 0, 0 stands in for q^{-1}, which meets [0]_q = 0 (keeps int q exact)."""
     if n < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"_q_table needs degree n >= 0, got n = {n}")
     powers = list(accumulate([q] * n, operator.mul, initial=1))
     return list(zip([0] + powers, powers[:n], accumulate(powers, operator.add, initial=0)))
 

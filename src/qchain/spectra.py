@@ -216,11 +216,12 @@ def _lift_state(y, q):
     (y, radical, sqrt_q, q) with radical = sqrt(y^2 + 4/(q-1)) and q > 1
     (else a ValueError naming q), taken once per start: a
     markov._lattice_kernels builder reads every kernel on its lattice from
-    it.  A float y or q puts both in the float lane, a nan y included.  In
-    the exact lane a rational y is lifted into Q(sqrt(D)), D = y^2 +
-    4/(q-1), where the radical is sqrt(D) (rational when D is a square); a
-    QuadraticNumber state keeps its field and the radical is extracted
-    there (NotRepresentable when it does not exist).
+    it.  The returned y is the state in its lane, the kernel's state at
+    index 0.  A float y or q puts both in the float lane (y a float, a nan
+    y included).  In the exact lane a rational y stays its Fraction and
+    its radical is sqrt(D) in Q(sqrt(D)), D = y^2 + 4/(q-1) (rational when
+    D is a square); a QuadraticNumber state keeps its field and the
+    radical is extracted there (NotRepresentable when it does not exist).
     """
     q = _normalize_q(q)
     if not q > 1:
@@ -237,8 +238,7 @@ def _lift_state(y, q):
                 f"sqrt({y}^2 + 4/(q-1)) leaves Q(sqrt({y.D}))"
             ) from exc
     y = Fraction(y)
-    D = y * y + Fraction(4) / (q - 1)
-    return QuadraticNumber(y, 0, D), QuadraticNumber(0, 1, D), sq, q
+    return y, QuadraticNumber(0, 1, y * y + Fraction(4) / (q - 1)), sq, q
 
 
 def _chi(k: int, y, radical, sq, q):
@@ -471,7 +471,7 @@ def verify_h_H_relation(m: int, x: float, q: float, rel_tol: float = 1e-8) -> Ve
     a shared branch of the square root.
     """
     if m < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"verify_h_H_relation needs degree m >= 0, got m = {m}")
     q = _float_q(q, x=x)
     x = float(x)
     report = VerificationReport("h-H-relation", {"m": m, "x": x, "q": q})
@@ -495,7 +495,7 @@ def verify_B_H_relation(n: int, y: float, q: float, rel_tol: float = 1e-8) -> Ve
         B_n(y|q) = i^n q^{n(n-1)/2} h_n(i y sqrt(q-1)/2 | 1/q) / (q-1)^{n/2}
     """
     if n < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"verify_B_H_relation needs degree n >= 0, got n = {n}")
     q = _float_q(q, y=y)
     y = float(y)
     report = VerificationReport("B-H-relation", {"n": n, "y": y, "q": q})
@@ -525,16 +525,14 @@ def verify_chi_properties(
 
     Index 0 is allowed (chi_0 is the identity map).
     """
-    state = lifted, radical, sq, q = _lift_state(y, q)
+    state = y, radical, sq, q = _lift_state(y, q)
     exact = _is_exact(q)
-    if not exact:
-        y = lifted
     report = VerificationReport(
         "chi-properties", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"}
     )
 
     qm = sq**m
-    root = (lifted * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
+    root = (y * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
     chi_m = _chi(m, *state)
     lhs = chi_m * chi_m + 4 / (q - 1)
     pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
@@ -557,7 +555,7 @@ def hermite_limit_identity(m: int, x, y) -> VerificationReport:
     v(x,-y,1) = (x-y)^2, so the product side forces the minus sign.)
     """
     if m < 1:
-        raise ValueError("needs m >= 1")
+        raise ValueError(f"hermite_limit_identity needs m >= 1, got m = {m}")
     x, y = Fraction(x), Fraction(y)
     total = eval_p_expansion(m, x, y, 1, 1)  # the q-binomials at q = 1 are C(m, k)
     expected = (x - y) ** m

@@ -111,6 +111,43 @@ class TestVerify:
         assert json.loads(out)["passed"] is False
 
 
+VALUES = {"m": "3", "n": "2", "x": "1/2", "y": "1/3", "rho": "1/2", "q": "4", "theta": "0.4", "phi": "1.1"}
+# each eval family and verify identity with the flags it needs, in the order they are checked
+NEEDS = {
+    ("eval", "H", "3"): ["q", "x"],
+    ("eval", "h", "3"): ["q", "x"],
+    ("eval", "B", "3"): ["q", "y"],
+    ("eval", "p", "3"): ["q", "x", "y", "rho"],
+    ("verify", "factorization"): ["m", "q"],
+    ("verify", "addition"): ["n", "theta", "phi", "q"],
+    ("verify", "h-H"): ["m", "x", "q"],
+    ("verify", "B-H"): ["n", "y", "q"],
+    ("verify", "chi"): ["m", "n", "y", "q"],
+    ("verify", "hermite-limit"): ["m", "x", "y"],
+    ("verify", "ck"): ["m", "n", "y", "q"],
+}
+
+
+class TestRequiredFlags:
+    def test_every_verb_is_listed(self):
+        assert {verb for _, verb, *_ in NEEDS} == set(cli.FAMILIES) | set(cli.VERIFIERS)
+
+    @pytest.mark.parametrize("head", list(NEEDS), ids="-".join)
+    def test_each_missing_flag_is_named(self, capsys, head):
+        flags = NEEDS[head]
+        code, out, _ = run(capsys, *head, *(arg for flag in flags for arg in (f"--{flag}", VALUES[flag])))
+        assert code == 0 and out
+        for missing in flags:
+            argv = [arg for flag in flags if flag != missing for arg in (f"--{flag}", VALUES[flag])]
+            code, out, err = run(capsys, *head, *argv)
+            assert (code, out, err) == (2, "", f"error: --{missing} is required here\n")
+        assert run(capsys, *head)[2] == f"error: --{flags[0]} is required here\n"
+
+    def test_first_missing_flag_in_order_is_named(self, capsys):
+        code, _, err = run(capsys, "verify", "ck", "--m", "3", "--n", "3", "--q", "4")
+        assert code == 2 and err == "error: --y is required here\n"
+
+
 class TestDist:
     def test_float_output(self, capsys):
         code, out, _ = run(capsys, "dist", "--m", "2", "--y", "1", "--q", "4", "--mode", "float")

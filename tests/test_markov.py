@@ -245,7 +245,7 @@ class TestLatticeKernels:
         import qchain.markov as markov_mod
         from qchain.spectra import _lift_state
 
-        return markov_mod._lattice_kernels(m, y, _lift_state(y, q))(i)
+        return markov_mod._lattice_kernels(m, _lift_state(y, q))(i)
 
     def test_exact_kernel_at_an_index_is_the_kernel_at_its_state(self):
         for q in (Q4, Fraction(9, 4)):
@@ -715,6 +715,16 @@ class TestEmpiricalMoments:
         group = report.groups[0]
         assert group.expected == pytest.approx(0.5)
         assert group.kernel_std == pytest.approx(math.sqrt(0.75))
+
+    def test_report_json_carries_verdict_and_groups(self):
+        cfgs = [ChainConfig(q=4.0, m=2, initial_y=1.0, steps=3, seed=s) for s in range(100)]
+        report = empirical_conditional_moment([simulate(c) for c in cfgs], j=1, lag=2, min_samples=10)
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        assert (doc["j"], doc["lag"], doc["threshold"]) == (1, 2, 4.0)
+        assert doc["max_abs_z"] == report.max_abs_z > 0 and doc["passed"] is report.passed
+        assert len(doc["groups"]) == len(report.groups) > 1
+        for entry, group in zip(doc["groups"], report.groups):
+            assert entry == vars(group) and entry["n_samples"] >= 10
 
     def test_insufficient_samples(self):
         cfg = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=1, seed=0)
