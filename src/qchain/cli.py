@@ -2,7 +2,9 @@
 build transition kernels, and simulate chains, with machine-readable
 output.  Each `eval` family and each `verify` identity is one row of
 FAMILIES or VERIFIERS: the flags it needs, the lane its scalars parse in
-and the library call it makes, so a new verb is one new row.
+and the library call it makes, so a new verb is one new row.  The eval and
+verify parsers take their --flags from those rows, each typed by its FLAGS
+entry, so a verb that needs a new flag is one FLAGS entry more.
 
 Exit codes form a contract usable from CI:
 
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from . import markov, qcore, spectra
 from .exactnum import format_scalar
-from .markov import ChainConfig, CompositionMismatch, InvalidKernel, build_distribution, simulate
+from .markov import ChainConfig, InvalidKernel, build_distribution, simulate
 from .spectra import VerificationFailed
 
 
@@ -73,6 +75,18 @@ VERIFIERS = {
     "hermite-limit": (("m", "x", "y"), "exact", lambda a, s: spectra.hermite_limit_identity(a.m, s(a.x), s(a.y))),
     "ck": (("m", "n", "y", "q"), None, lambda a, s: markov.verify_chapman_kolmogorov(a.m, a.n, s(a.y), s(a.q))),
 }
+
+
+# The type of each --flag a row may need, in the order the parsers list them.
+FLAGS = {"m": int, "n": int, "x": str, "y": str, "rho": str, "q": str, "theta": float, "phi": float}
+
+
+def _add_flags(parser, table):
+    """Add the FLAGS entries that some row of `table` needs, in FLAGS order."""
+    needed = {flag for flags, _, _ in table.values() for flag in flags}
+    for name, kind in FLAGS.items():
+        if name in needed:
+            parser.add_argument(f"--{name}", type=kind)
 
 
 def _run(table, key, args):
@@ -128,22 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate one polynomial family at a point")
     pe.add_argument("family", choices=list(FAMILIES))
     pe.add_argument("n", type=int, help="degree")
-    pe.add_argument("--x")
-    pe.add_argument("--y")
-    pe.add_argument("--rho")
-    pe.add_argument("--q")
+    _add_flags(pe, FAMILIES)
     pe.add_argument("--mode", choices=["exact", "float"], default="exact")
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run one identity verifier, print a JSON report")
     pv.add_argument("identity", choices=list(VERIFIERS))
-    pv.add_argument("--m", type=int)
-    pv.add_argument("--n", type=int)
-    pv.add_argument("--x")
-    pv.add_argument("--y")
-    pv.add_argument("--q")
-    pv.add_argument("--theta", type=float)
-    pv.add_argument("--phi", type=float)
+    _add_flags(pv, VERIFIERS)
     pv.add_argument("--grid-side", type=int, help="side of the (x, y) sample grid")
     pv.add_argument("--mode", choices=["exact", "float"], default="exact")
     pv.set_defaults(func=cmd_verify)
@@ -179,9 +184,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except VerificationFailed as exc:
         print(exc.report.to_json())
-        return 1
-    except CompositionMismatch as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except CLIParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

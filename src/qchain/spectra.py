@@ -383,6 +383,8 @@ def verify_factorization(
     (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) and x^2
     per x, rho y q^i, B_k(y|q) and y^2 per y for this call only, and reads
     no other route's values."""
+    if m < 1:
+        raise ValueError(f"verify_factorization needs degree m >= 1, got m = {m}")
     q = _normalize_q(q)
     if sample_points is None:
         axis = rational_grid(m + 2)  # (m+2)^2 > (m+1)^2 points

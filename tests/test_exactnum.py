@@ -71,6 +71,10 @@ class TestQuadraticArithmetic:
         assert u**3 * u**-3 == 1
         assert u**0 == 1
 
+    def test_non_integer_power_is_refused(self):
+        with pytest.raises(TypeError):
+            qn(Fraction(5, 4), Fraction(3, 4)) ** 0.5
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             qn(1, 1) / qn(0, 0)
@@ -410,6 +414,9 @@ class TestSerialization:
 
     def test_float_format(self):
         assert format_scalar(0.25) == "0.25"
+
+    def test_repr_names_the_coordinates(self):
+        assert repr(qn(Fraction(1, 2), -2)) == "QuadraticNumber(1/2, -2, 7/3)"
 
     def test_malformed(self):
         with pytest.raises(ValueError):

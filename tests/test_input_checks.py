@@ -15,6 +15,7 @@ from qchain.spectra import (
     v_factor,
     verify_addition_formula,
     verify_B_H_relation,
+    verify_factorization,
     verify_h_H_relation,
 )
 
@@ -55,3 +56,9 @@ def test_input_check_raises_and_names_its_input(call, error, message):
 def test_parse_exact_reads_a_pure_radical(text, b, D):
     value = parse_exact(text)
     assert value == QuadraticNumber(0, b, D) and parse_exact(format_scalar(value)) == value
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_verify_factorization_names_itself_and_its_degree(m):
+    with pytest.raises(ValueError, match=re.escape(f"verify_factorization needs degree m >= 1, got m = {m}")):
+        verify_factorization(m, 4)

@@ -427,6 +427,13 @@ class TestComposition:
         with pytest.raises(CompositionMismatch):
             markov_mod.compose(real, 2)
 
+    def test_atoms_off_the_index_set_do_not_compose(self):
+        # every atom moved one index up: the composed support misses (3)
+        dist = build_distribution(2, Y1, Q4)
+        shifted = ConditionalDistribution(m=2, y=Y1, q=Q4, atoms={k + 1: a for k, a in dist.atoms.items()})
+        with pytest.raises(CompositionMismatch, match=re.escape("composed support [-1, 1, 3] != (3) = [-2, 0, 2]")):
+            compose(shifted, 2, check=False)
+
 
 class TestChapmanKolmogorov:
     def test_exact_pass(self):
@@ -550,6 +557,17 @@ class TestSampling:
         dist = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={-1: Atom(-1.0, -0.2), 1: Atom(1.0, 1.2)})
         with pytest.raises(NegativeMassError):
             sample_step(dist, random.Random(1))
+
+    def test_draw_past_a_short_mass_sum_takes_the_last_atom(self):
+        # the masses sum to 1 - 4e-13, within check_masses' tolerance, and the
+        # draw lies above that sum
+        dist = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={-1: Atom(-1.0, 0.5), 1: Atom(1.0, 0.5 - 4e-13)})
+
+        class HighRandom(random.Random):
+            def random(self):
+                return 1 - 1e-13
+
+        assert sample_step(dist, HighRandom()) == 1.0
 
 
 class TestSimulate:
@@ -736,6 +754,15 @@ class TestEmpiricalMoments:
         with pytest.raises(ValueError):
             empirical_conditional_moment([simulate(cfg)], j=2, lag=1)
 
+    def test_zero_variance_group_far_out(self):
+        # at source 1e9 the float kernel's variance of H_1 rounds to 0.0, and
+        # every path lands on the expected mean
+        cfgs = [ChainConfig(q=4.0, m=2, initial_y=1e9, steps=1, seed=s) for s in range(100)]
+        report = empirical_conditional_moment([simulate(c) for c in cfgs], j=1, lag=1)
+        (group,) = report.groups
+        assert (group.source, group.kernel_std, group.z_score) == (1e9, 0.0, 0.0)
+        assert group.empirical_mean == group.expected and report.passed
+
 
 class TestSerialization:
     def test_exact_round_trip(self):
@@ -778,6 +805,16 @@ class TestSerialization:
     def test_float_json_uses_numbers(self):
         doc = build_distribution(2, 1.0, 4.0).to_json_dict()
         assert all(isinstance(entry["mass"], float) for entry in doc["atoms"])
+
+    def test_malformed_literal_is_raised_unchanged(self):
+        doc = build_distribution(2, Y1, Q4).to_json_dict()
+        doc["atoms"][0]["value"] = "1 + 2 sqrt(3)"
+        with pytest.raises(ValueError) as info:
+            ConditionalDistribution.from_json_dict(doc)
+        assert str(info.value) == "malformed quadratic literal: '1 + 2 sqrt(3)'"
+
+    def test_deviation_across_index_sets_is_infinite(self):
+        assert build_distribution(2, Y1, Q4).max_deviation(build_distribution(3, Y1, Q4)) == math.inf
 
 
 class TestKernelValidity:
