@@ -185,15 +185,9 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(exc.report.to_json())
         return 1
-    except CLIParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidKernel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, CLIParseError) else 4 if isinstance(exc, InvalidKernel) else 3
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

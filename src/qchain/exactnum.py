@@ -1,8 +1,8 @@
 """Exact scalar backends: arbitrary-precision rationals and the quadratic
 extension field Q(sqrt(D)).
 
-``Rational`` is an alias for :class:`fractions.Fraction`.  Every quantity the
-exact pipeline produces (support points, masses, radicals) lives in one field
+Rationals are :class:`fractions.Fraction`.  Every quantity the exact
+pipeline produces (support points, masses, radicals) lives in one field
 Q(sqrt(D)), fixed per run by the initial state; :class:`QuadraticNumber` holds
 it as reduced integers (A + B*sqrt(N))/C, so a field operation is a few
 integer products and one gcd, with no Fraction in between.
@@ -17,10 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "QuadraticNumber",
     "DiscriminantMismatch",
     "NotAPerfectSquare",

@@ -42,11 +42,12 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
-from .spectra import VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q, _lift_state, _worst, index_set
+from .spectra import IndexSetError, VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q
+from .spectra import _lift_state, _rel_err, _worst, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -164,47 +165,43 @@ class ConditionalDistribution:
             return {"q": str(self.q), "m": self.m, "y": format_scalar(self.y), "atoms": atoms, "mode": mode}
         except ValueError as exc:
             _name_digit_limit(exc, self.m, self.y, self.q)
-            raise
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
+        """The kernel of a to_json_dict document, one atom per index of (m) (IndexSetError otherwise)."""
         exact = doc["mode"] == "exact"
         scalar = (lambda text: parse_exact(str(text))) if exact else float
+        m, ks = int(doc["m"]), sorted(entry["k"] for entry in doc["atoms"])
+        if ks != index_set(m):
+            raise IndexSetError(f"a kernel at m={m} has its atoms at ({m}) = {index_set(m)}, got indices {ks}")
         try:
             atoms = {entry["k"]: Atom(scalar(entry["value"]), scalar(entry["mass"])) for entry in doc["atoms"]}
-            return cls(m=int(doc["m"]), y=scalar(doc["y"]), q=(Fraction if exact else float)(doc["q"]), atoms=atoms)
+            return cls(m=m, y=scalar(doc["y"]), q=(Fraction if exact else float)(doc["q"]), atoms=atoms)
         except ValueError as exc:
-            _name_digit_limit(exc, doc["m"], doc["y"], doc["q"])
-            raise
+            _name_digit_limit(exc, m, doc["y"], doc["q"])
 
     def max_deviation(self, other: "ConditionalDistribution") -> float:
-        """Largest atom-wise gap against another kernel sharing the same
-        index set (inf when the supports differ): value gaps relative to
-        max(1, |value|), mass gaps absolute, nan if any gap is.  Exact gaps
-        are rounded to floats, so one below the double range reads 0.0:
-        identity is decided by spectra._check (see _check_direct)."""
+        """Largest spectra._rel_err gap between the values and masses (at most
+        1: absolute gaps) of two kernels on one index set, inf across index
+        sets, nan if any gap is.  Exact gaps are taken before rounding; an exact
+        kernel meets a float one in floats.  spectra._check decides identity."""
         if self.indices() != other.indices():
             return math.inf
-        worst = 0.0
-        for k, mine in self.atoms.items():
-            theirs = other.atoms[k]
-            if mine == theirs:
-                continue
-            if self.exact != other.exact:  # an exact kernel against a float one
-                mine, theirs = Atom(*map(float, mine)), Atom(*map(float, theirs))
-            scale = max(1, abs(mine.value), abs(theirs.value))
-            worst = _worst(worst, float(abs(mine.value - theirs.value) / scale), float(abs(mine.mass - theirs.mass)))
-        return worst
+        pairs = [(mine, other.atoms[k]) for k, mine in self.atoms.items()]
+        if self.exact != other.exact:  # an exact kernel against a float one
+            pairs = [(Atom(*map(float, mine)), Atom(*map(float, theirs))) for mine, theirs in pairs]
+        return _worst(0.0, *(_rel_err(a, b) for mine, theirs in pairs for a, b in zip(mine, theirs)))
 
 
-def _name_digit_limit(exc: ValueError, m, y, q) -> None:
-    """Raise a ValueError naming the kernel if exc is Python's int/str digit limit."""
+def _name_digit_limit(exc: ValueError, m, y, q) -> NoReturn:
+    """Raise a ValueError naming the kernel if exc is Python's int/str digit limit, else exc itself."""
     if "integer string conversion" in str(exc):
         msg = f"exact kernel at m={m}, y={y}, q={q} passes Python's int/str digit limit"
         raise ValueError(f"{msg}; raise it with sys.set_int_max_str_digits") from exc
+    raise exc
 
 
 def _require_int(name: str, value) -> None:
@@ -512,14 +509,10 @@ class MomentCheckReport:
         return self.max_abs_z <= self.threshold
 
     def to_json_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "lag": self.lag,
-            "threshold": self.threshold,
-            "max_abs_z": self.max_abs_z,
-            "passed": self.passed,
-            "groups": [vars(g) for g in self.groups],
-        }
+        """The fields, then the verdict, with the groups last."""
+        doc = asdict(self)
+        groups = doc.pop("groups")
+        return {**doc, "max_abs_z": self.max_abs_z, "passed": self.passed, "groups": groups}
 
 
 def empirical_conditional_moment(

@@ -33,7 +33,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath
@@ -100,20 +100,12 @@ class VerificationReport:
     parameters: dict
     points_checked: int = 0
     max_residual: float = 0.0
-    witness: dict | None = None
     passed: bool = True
+    witness: dict | None = None
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "identity": self.identity,
-            "parameters": self.parameters,
-            "points_checked": self.points_checked,
-            "max_residual": self.max_residual,
-            "passed": self.passed,
-        }
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        return doc
+        """The fields in declaration order (the key order), leaving out a None witness."""
+        return {key: value for key, value in asdict(self).items() if key != "witness" or value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
@@ -136,8 +128,9 @@ def _fail(report: VerificationReport, witness: dict) -> VerificationFailed:
 
 
 def _rel_err(a, b) -> float:
-    a, b = complex(a), complex(b)
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    """|a - b| / max(1, |a|, |b|) as a float, the gap taken before rounding:
+    an exact gap finer than a double's resolution of a or b is not lost."""
+    return abs(complex(a - b)) / max(1.0, abs(complex(a)), abs(complex(b)))
 
 
 def _worst(*residuals) -> float:
@@ -192,18 +185,9 @@ def index_set(m: int) -> list[int]:
 
 
 def index_sumset(m: int, n: int) -> list[int]:
-    """The literal sumset {i + j : i in (m), j in (n)}.
-
-    It always collapses to (m+n-1); that equality is re-derived here and
-    checked, not assumed.
-    """
-    sums = sorted({i + j for i in index_set(m) for j in index_set(n)})
-    expected = index_set(m + n - 1)
-    if sums != expected:
-        raise AssertionError(
-            f"sumset regression: ({m}) + ({n}) = {sums}, expected {expected}"
-        )
-    return sums
+    """The literal sumset {i + j : i in (m), j in (n)}, formed rather than
+    assumed: it is (m+n-1), the support of order-m and order-n kernels composed."""
+    return sorted({i + j for i in index_set(m) for j in index_set(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +253,14 @@ def chi(k: int, y, q):
     2 (y^2 - (q^{k/2} - q^{-k/2})^2/(q-1)) / (even - odd), whose
     denominator does not cancel; the relative error is then within
     a small multiple of 2^-53 max(1, kappa), kappa being the condition
-    number |y d(chi_k)/dy / chi_k| of chi_k in y.
+    number |y d(chi_k)/dy / chi_k| of chi_k in y.  A float q^{k/2} past the
+    double range raises an OverflowError naming k and q.
     """
-    return _chi(k, *_lift_state(y, q))
+    state = _lift_state(y, q)
+    try:  # a float q^{k/2} past the double range overflows, or underflows to a 0.0 divisor
+        return _chi(k, *state)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise OverflowError(f"chi_k needs q^(k/2) inside the double range, got k = {k}, q = {state[3]}") from exc
 
 
 def chi_radical(y, q):
@@ -385,6 +374,8 @@ def verify_factorization(
     no other route's values."""
     if m < 1:
         raise ValueError(f"verify_factorization needs degree m >= 1, got m = {m}")
+    if q == 1:
+        raise ValueError(f"verify_factorization needs q != 1, got q = {q}")
     q = _normalize_q(q)
     if sample_points is None:
         axis = rational_grid(m + 2)  # (m+2)^2 > (m+1)^2 points
@@ -525,13 +516,15 @@ def verify_chi_properties(
            which the exact lane also re-extracts with quad_sqrt;
       (ii) chi_m(chi_n(y,q), q) = chi_{m+n}(y,q).
 
-    Index 0 is allowed (chi_0 is the identity map).
+    Index 0 is allowed (chi_0 is the identity map).  A float q^{k/2} past
+    the double range raises chi's OverflowError naming k and q.
     """
     state = y, radical, sq, q = _lift_state(y, q)
     exact = _is_exact(q)
     report = VerificationReport(
         "chi-properties", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": "exact" if exact else "float"}
     )
+    composed, direct = chi(m, chi(n, y, q), q), chi(m + n, y, q)  # chi names an index past the double range
 
     qm = sq**m
     root = (y * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
@@ -540,8 +533,6 @@ def verify_chi_properties(
     pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
     _check(report, exact, pairs, rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
 
-    composed = chi(m, chi(n, y, q), q)
-    direct = _chi(m + n, *state)
     witness = {"property": "composition", "chi_m(chi_n)": composed, "chi_{m+n}": direct}
     _check(report, exact, [(composed, direct)], rel_tol, witness)
     return report

@@ -9,12 +9,14 @@ from qchain.exactnum import QuadraticNumber, format_scalar, parse_exact
 from qchain.markov import ChainConfig, InsufficientSamples, empirical_conditional_moment, k_step_distribution, simulate
 from qchain.qcore import eval_H, q_factorial, q_pochhammer
 from qchain.spectra import (
+    chi,
     eval_product_form,
     eval_sum_form,
     hermite_limit_identity,
     v_factor,
     verify_addition_formula,
     verify_B_H_relation,
+    verify_chi_properties,
     verify_factorization,
     verify_h_H_relation,
 )
@@ -62,3 +64,20 @@ def test_parse_exact_reads_a_pure_radical(text, b, D):
 def test_verify_factorization_names_itself_and_its_degree(m):
     with pytest.raises(ValueError, match=re.escape(f"verify_factorization needs degree m >= 1, got m = {m}")):
         verify_factorization(m, 4)
+
+
+@pytest.mark.parametrize("q", [1, Fraction(1), 1.0])
+def test_verify_factorization_names_itself_at_q_one(q):
+    # in both lanes, before the product route or the float-q check sees q
+    with pytest.raises(ValueError, match=re.escape(f"verify_factorization needs q != 1, got q = {q}")):
+        verify_factorization(3, q)
+
+
+@pytest.mark.parametrize("m, n, k", [(1100, 1, 1100), (-1100, 1, -1100), (1000, 100, 1100), (1, 1100, 1100)])
+def test_float_chi_past_the_double_range_names_its_index_and_q(m, n, k):
+    # 2.0**1100 overflows and 2.0**-1100 underflows to a 0.0 divisor
+    message = re.escape(f"chi_k needs q^(k/2) inside the double range, got k = {k}, q = 4.0")
+    with pytest.raises(OverflowError, match=message):
+        chi(k, 1.0, 4.0)
+    with pytest.raises(OverflowError, match=message):
+        verify_chi_properties(m, n, 1.0, 4.0)

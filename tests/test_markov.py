@@ -35,7 +35,7 @@ from qchain.markov import (
     verify_chapman_kolmogorov,
 )
 from qchain.qcore import eval_H_seq
-from qchain.spectra import VerificationFailed, VerificationReport, chi, index_set, index_sumset
+from qchain.spectra import IndexSetError, VerificationFailed, VerificationReport, chi, index_set, index_sumset
 
 Y1, Q4 = Fraction(1), Fraction(4)
 
@@ -815,6 +815,26 @@ class TestSerialization:
 
     def test_deviation_across_index_sets_is_infinite(self):
         assert build_distribution(2, Y1, Q4).max_deviation(build_distribution(3, Y1, Q4)) == math.inf
+
+    def test_deviation_reads_an_exact_gap_below_double_resolution(self):
+        # the middle mass moved by 1e-30, below a double's resolution of it: rounding first would read 0.0
+        dist = build_distribution(3, Y1, Q4)
+        nudged = ConditionalDistribution(m=3, y=dist.y, q=dist.q, atoms=dict(dist.atoms))
+        nudged.atoms[0] = nudged.atoms[0]._replace(mass=nudged.atoms[0].mass + Fraction(1, 10**30))
+        assert float(nudged.mass(0)) == float(dist.mass(0))
+        assert 0 < nudged.max_deviation(dist) <= 1e-29 and 0 < dist.max_deviation(nudged) <= 1e-29
+
+    @pytest.mark.parametrize("y, q", [(Y1, Q4), (1.0, 4.0)])
+    def test_load_refuses_atoms_off_the_index_set(self, y, q):
+        shifted = build_distribution(2, y, q).to_json_dict()
+        for entry in shifted["atoms"]:
+            entry["k"] += 1
+        extra = build_distribution(3, y, q).to_json_dict() | {"m": 2}
+        repeated = build_distribution(2, y, q).to_json_dict()
+        repeated["atoms"].append(repeated["atoms"][-1])
+        for doc, ks in [(shifted, [0, 2]), (extra, [-2, 0, 2]), (repeated, [-1, 1, 1])]:
+            with pytest.raises(IndexSetError, match=re.escape(f"at m=2 has its atoms at (2) = [-1, 1], got indices {ks}")):
+                ConditionalDistribution.from_json_dict(doc)
 
 
 class TestKernelValidity:
