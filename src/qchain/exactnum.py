@@ -1,5 +1,5 @@
-"""Exact scalar backends: arbitrary-precision rationals and the quadratic
-extension field Q(sqrt(D)).
+"""Exact scalar backends on the standard library alone: arbitrary-precision
+rationals and the quadratic extension field Q(sqrt(D)).
 
 Rationals are :class:`fractions.Fraction`.  Every quantity the exact
 pipeline produces (support points, masses, radicals) lives in one field
@@ -14,8 +14,6 @@ import cmath
 import functools
 import math
 from fractions import Fraction
-
-import mpmath
 
 __all__ = [
     "QuadraticNumber",
@@ -274,12 +272,12 @@ def scalar_sqrt(v):
     In the exact lane (_is_exact) a rational q must be a perfect rational
     square (NotAPerfectSquare naming q otherwise) and a quadratic number a
     perfect square in its field; floats use math.sqrt, complex cmath.sqrt
-    and mpmath numbers mpmath.sqrt at the working precision.
+    and any other number its own ** 0.5 (an mpmath mpf: mpmath.sqrt's bits).
     """
     if not _is_exact(v):
-        if isinstance(v, (mpmath.mpf, mpmath.mpc)):
-            return mpmath.sqrt(v)
-        return cmath.sqrt(v) if isinstance(v, complex) else math.sqrt(v)
+        if isinstance(v, float):
+            return math.sqrt(v)
+        return cmath.sqrt(v) if isinstance(v, complex) else v**0.5
     if isinstance(v, QuadraticNumber):
         return quad_sqrt(v)
     r = rational_sqrt(v)

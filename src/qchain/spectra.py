@@ -36,8 +36,6 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
@@ -108,7 +106,9 @@ class VerificationReport:
         return {key: value for key, value in asdict(self).items() if key != "witness" or value is not None}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """Strict JSON: a non-finite float is written as the string "NaN", "Infinity" or "-Infinity"."""
+        named = json.loads(json.dumps(self.to_json_dict()), parse_constant=str)
+        return json.dumps(named, indent=2, allow_nan=False)
 
 
 class VerificationFailed(Exception):
@@ -426,6 +426,8 @@ def verify_addition_formula(
     max(1, |sides|); the imaginary part of (b), held to the same scale,
     must vanish to 1e-10.
     """
+    import mpmath  # the package's one use of mpmath: no other command loads it
+
     if n < 1:
         raise ValueError("verify_addition_formula needs n >= 1")
     q = _float_q(q, theta=theta, phi=phi)

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +112,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "ck", "--m", "2", "--n", "2", "--y", "1", "--q", "4")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_non_finite_residuals_print_as_strict_json(self, capsys):
+        # y^2 overflows, so the float residual is nan and the witness holds infinities
+        def refuse(name):
+            raise ValueError(f"bare {name} is not strict JSON")
+
+        code, out, _ = run(capsys, "verify", "chi", "--m", "2", "--n", "1", "--y", "1e300", "--q", "4", "--mode", "float")
+        doc = json.loads(out, parse_constant=refuse)
+        assert code == 1 and doc["passed"] is False
+        assert doc["max_residual"] == "NaN" and doc["witness"]["residual"] == "NaN"
+        assert doc["witness"]["lhs"] == "Infinity"
 
 
 VALUES = {"m": "3", "n": "2", "x": "1/2", "y": "1/3", "rho": "1/2", "q": "4", "theta": "0.4", "phi": "1.1"}
@@ -278,6 +292,32 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
         assert exc.value.code == 0
+
+
+IMPORT_SET = """
+import contextlib, io, sys
+from qchain.cli import main
+
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    return "mpmath" in sys.modules
+
+print(any(loaded(argv.split()) for argv in [
+    "dist --m 4 --y 1 --q 4",
+    "simulate --m 3 --y 1 --q 4 --steps 20",
+    "verify factorization --m 3 --q 4 --mode float",
+    "verify ck --m 2 --n 2 --y 1 --q 4",
+]))
+print(loaded("verify addition --n 4 --theta 1.1 --phi 0.4 --q 16".split()))
+"""
+
+
+def test_only_the_addition_verifier_loads_mpmath():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False", "True"]
 
 
 class TestInvalidKernelExit:

@@ -2,6 +2,7 @@
 float conversion and serialization."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -319,6 +320,18 @@ class TestScalarSqrt:
             root = scalar_sqrt(mpmath.mpf(2))
             assert isinstance(root, mpmath.mpf)
             assert root == mpmath.sqrt(2)
+
+    @pytest.mark.parametrize("dps", [6, 15, 30, 50, 80])
+    def test_mpf_root_is_mpmath_sqrt_bit_for_bit(self, dps):
+        rng = random.Random(dps)
+        with mpmath.mp.workdps(dps):
+            prec = mpmath.mp.prec
+            values = [mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(2)]
+            values += [mpmath.mpf(rng.getrandbits(prec) | 1) * mpmath.mpf(2) ** rng.randint(-300, 300) for _ in range(300)]
+            for v in values:
+                root = scalar_sqrt(v)
+                assert isinstance(root, mpmath.mpf)
+                assert root._mpf_ == mpmath.sqrt(v)._mpf_, (dps, v)
 
 
 class TestFloatConversion:
