@@ -40,6 +40,7 @@ import functools
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, NoReturn
@@ -167,7 +168,15 @@ class ConditionalDistribution:
             _name_digit_limit(exc, self.m, self.y, self.q)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """to_json_dict() written by one template of its fixed layout: byte-identical
+        to json.dumps(self.to_json_dict(), indent=2) without that pure-Python encoder."""
+        doc, leaf = self.to_json_dict(), _json_leaf
+        atoms = ",\n".join(
+            f'    {{\n      "k": {leaf(a["k"])},\n      "value": {leaf(a["value"])},\n      "mass": {leaf(a["mass"])}\n    }}'
+            for a in doc["atoms"]
+        )
+        head = f'{{\n  "q": {leaf(doc["q"])},\n  "m": {leaf(doc["m"])},\n  "y": {leaf(doc["y"])},\n  "atoms": '
+        return head + (f"[\n{atoms}\n  ]" if atoms else "[]") + f',\n  "mode": {leaf(doc["mode"])}\n}}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
@@ -194,6 +203,15 @@ class ConditionalDistribution:
         if self.exact != other.exact:  # an exact kernel against a float one
             pairs = [(Atom(*map(float, mine)), Atom(*map(float, theirs))) for mine, theirs in pairs]
         return _worst(0.0, *(_rel_err(a, b) for mine, theirs in pairs for a, b in zip(mine, theirs)))
+
+
+def _json_leaf(x) -> str:
+    """A str, int or float as json.dumps writes it: nan and +-inf as NaN, Infinity and -Infinity."""
+    if isinstance(x, str):
+        return json.encoder.encode_basestring_ascii(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return repr(x)
 
 
 def _name_digit_limit(exc: ValueError, m, y, q) -> NoReturn:
@@ -279,7 +297,7 @@ def conditional_moment_residual(dist: ConditionalDistribution, j: int):
     a diagnostic and is generally nonzero.
     """
     if j < 1:
-        raise ValueError("moment order j must be >= 1")
+        raise ValueError(f"moment order j must be >= 1, got {j}")
     rho = scalar_sqrt(dist.q) ** (1 - dist.m)
     moment = dist.kernel_moment(lambda v: eval_H_seq(j, v, dist.q)[j])
     return moment - rho**j * eval_H_seq(j, dist.y, dist.q)[j]
@@ -339,7 +357,7 @@ def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
     _require_int("m", m)
     _require_int("k", k)
     if k < 1:
-        raise ValueError("step count k must be >= 1")
+        raise ValueError(f"step count k must be >= 1, got {k}")
     return build_distribution(k * (m - 1) + 1, y, q)
 
 
@@ -400,9 +418,9 @@ class ChainConfig:
         if not self.max_state > 0:
             raise ValueError(f"max_state must be > 0, got {self.max_state}")
         if self.m < 2:
-            raise ValueError("transition order m must be >= 2")
+            raise ValueError(f"transition order m must be >= 2, got {self.m}")
         if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
 
 def _fmt_state(s: float) -> str:
@@ -418,9 +436,10 @@ class Trajectory:
     config: ChainConfig
 
     def to_csv(self) -> str:
-        lines = ["step,state"]
-        lines.extend(f"{i},{_fmt_state(s)}" for i, s in enumerate(self.states))
-        return "\n".join(lines) + "\n"
+        """One "step,state" row per state, each distinct non-zero state
+        formatted once; a zero every time, so 0.0 and -0.0 keep their own text."""
+        text = {s: _fmt_state(s) for s in set(self.states) if s}  # a nan is found by identity
+        return "step,state\n" + "".join(f"{i},{text[s] if s else _fmt_state(s)}\n" for i, s in enumerate(self.states))
 
     def metadata(self) -> dict:
         return {**asdict(self.config), "states_recorded": len(self.states)}
@@ -435,21 +454,26 @@ class Trajectory:
             fh.write("\n")
 
 
-def _draw_index(dist: ConditionalDistribution, rng: random.Random) -> int:
-    """One draw from `dist` by inverse CDF over its atoms in ascending index
-    order, one rng.random() per draw: the drawn atom's index."""
-    u, acc, ks = rng.random(), 0.0, dist.indices()
+def _draw_table(dist: ConditionalDistribution) -> tuple[list[float], list[int]]:
+    """The float CDF of `dist` over its atoms in ascending index order, with those indices."""
+    cdf, acc, ks = [], 0.0, dist.indices()
     for k in ks:
         acc += float(dist.atoms[k].mass)
-        if u < acc:
-            return k
-    return ks[-1]  # mass sum rounded slightly under 1
+        cdf.append(acc)
+    return cdf, ks
+
+
+def _draw(table: tuple[list[float], list[int]], rng: random.Random) -> int:
+    """One rng.random() u per draw: the index of the first atom whose CDF exceeds
+    u (masses are non-negative), or the last atom if the mass sum rounded under u."""
+    cdf, ks = table
+    return ks[min(bisect_right(cdf, rng.random()), len(ks) - 1)]
 
 
 def sample_step(dist: ConditionalDistribution, rng: random.Random):
-    """Draw the next state from `dist` (see _draw_index), refusing a kernel
+    """Draw the next state from `dist` (see _draw), refusing a kernel
     whose masses are not a probability vector (check_masses)."""
-    return dist.check_masses().atoms[_draw_index(dist, rng)].value
+    return dist.check_masses().atoms[_draw(_draw_table(dist), rng)].value
 
 
 def simulate(config: ChainConfig) -> Trajectory:
@@ -457,20 +481,21 @@ def simulate(config: ChainConfig) -> Trajectory:
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
     step draws k in (m) from the kernel at i and records that atom's own
-    support value chi_{i+k}(y0).  Every kernel is read, once per visited
-    index, from one _lattice_kernels builder on y0's lift, so a state's
-    float is a function of its index.  A recorded state beyond
-    config.max_state, the start revisited included, raises StateOverflow
-    rather than continuing with overflowing floats.
+    support value chi_{i+k}(y0).  One _lattice_kernels builder on y0's lift
+    gives every kernel, so a state's float is a function of its index; a
+    functools.cache keeps each visited index's (_draw_table, atoms), built
+    once.  A recorded state beyond config.max_state, the start revisited
+    included, raises StateOverflow rather than continuing with overflowing floats.
     """
     rng = random.Random(config.seed)
     q, y0 = float(config.q), float(config.initial_y)
-    kernel_at = functools.cache(_lattice_kernels(config.m, _lift_state(y0, q)))
+    kernel_at = _lattice_kernels(config.m, _lift_state(y0, q))  # built here: drawn without check_masses
+    step_at = functools.cache(lambda i: (_draw_table(kernel := kernel_at(i)), kernel.atoms))
     index, states = 0, [y0]
     for step in range(config.steps):
-        kernel = kernel_at(index)
-        k = _draw_index(kernel, rng)  # built here: drawn without check_masses
-        index, state = index + k, kernel.atoms[k].value
+        table, atoms = step_at(index)
+        k = _draw(table, rng)
+        index, state = index + k, atoms[k].value
         if abs(state) > config.max_state:
             raise StateOverflow(f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}")
         states.append(state)
@@ -531,10 +556,10 @@ def empirical_conditional_moment(
     if not trajectories:
         raise InsufficientSamples("no trajectories supplied")
     if lag < 1:
-        raise ValueError("lag must be >= 1")
+        raise ValueError(f"lag must be >= 1, got {lag}")
     config = trajectories[0].config
     if j < 1 or j > config.m - 1:
-        raise ValueError(f"moment order j must be in 1..{config.m - 1}")
+        raise ValueError(f"moment order j must be in 1..{config.m - 1}, got {j}")
     q = float(config.q)
     rho = math.sqrt(q) ** (-(config.m - 1))
 

@@ -570,6 +570,20 @@ class TestSampling:
         assert sample_step(dist, HighRandom()) == 1.0
 
 
+    def test_a_draw_equal_to_a_cdf_step_takes_the_next_atom(self):
+        # an atom is drawn where u < its CDF, not u <= it: u at exactly the
+        # first atom's mass draws the second atom
+        dist = build_distribution(3, 0.7, 4.0)
+        first = float(dist.mass(-2))
+
+        class TieRandom(random.Random):
+            def random(self):
+                return first
+
+        assert 0.0 < first < 1.0
+        assert sample_step(dist, TieRandom()) == dist.value(0)
+
+
 class TestSimulate:
     def test_zero_steps(self):
         traj = simulate(ChainConfig(q=4.0, m=2, initial_y=1.0, steps=0, seed=7))
@@ -835,6 +849,49 @@ class TestSerialization:
         for doc, ks in [(shifted, [0, 2]), (extra, [-2, 0, 2]), (repeated, [-1, 1, 1])]:
             with pytest.raises(IndexSetError, match=re.escape(f"at m=2 has its atoms at (2) = [-1, 1], got indices {ks}")):
                 ConditionalDistribution.from_json_dict(doc)
+
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_json_is_the_indented_dump_of_its_dict_in_the_exact_lane(self, m):
+        states = (Fraction(0), Y1, Fraction(-137, 23), Fraction(5, 2), chi(1, Y1, Q4))
+        for q in (Q4, Fraction(9, 4)):
+            for y in states[:-1] if q != Q4 else states:
+                dist = build_distribution(m, y, q)
+                assert dist.to_json() == json.dumps(dist.to_json_dict(), indent=2), (m, y, q)
+
+    @pytest.mark.parametrize("q", [2.25, 4.0, 16.0])
+    def test_json_is_the_indented_dump_of_its_dict_in_the_float_lane(self, q):
+        for y in (0.0, -0.0, 1e-300, -9.99, 1e150):
+            for m in (2, 3, 4, 7):
+                dist = build_distribution(m, y, q)
+                assert dist.to_json() == json.dumps(dist.to_json_dict(), indent=2), (m, y, q)
+
+    def test_json_writes_non_finite_and_signed_zero_masses_as_the_dump_does(self):
+        base = build_distribution(4, 1.0, 4.0)
+        masses = dict(zip(base.indices(), (math.nan, math.inf, -math.inf, -0.0)))
+        edited = ConditionalDistribution(
+            m=4, y=1.0, q=4.0, atoms={k: Atom(base.value(k), mass) for k, mass in masses.items()}
+        )
+        empty = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={})
+        for dist in (edited, empty):
+            text = dist.to_json()
+            assert text == json.dumps(dist.to_json_dict(), indent=2)
+        assert '"mass": NaN' in edited.to_json() and '"mass": -0.0' in edited.to_json()
+
+    def test_csv_formats_each_state_as_the_per_row_writer(self):
+        from qchain.markov import _fmt_state
+
+        nan, other_nan = math.nan, float("nan")
+        config = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=0)
+        paths = (
+            [1.0, 0.0, -0.0, 0.0, nan, 2.5, nan, other_nan, 3, 3.0, 2.5, -0.0, 1e-300, -1e300, 1],
+            [-0.0, 0, 0.0],
+            [nan],
+            [],
+        )
+        for states in paths:
+            old = "\n".join(["step,state"] + [f"{i},{_fmt_state(s)}" for i, s in enumerate(states)]) + "\n"
+            assert Trajectory(states=states, config=config).to_csv() == old, states
 
 
 class TestKernelValidity:
