@@ -13,11 +13,13 @@ Exit codes form a contract usable from CI:
     2  argument or scalar parse error
     3  domain error (q out of range, non-square q in exact mode, ...)
     4  kernel masses not a probability vector under --strict (InvalidKernel)
+  141  stdout closed early by its reader (`| head`): no traceback, SIGPIPE's shell code
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -181,7 +183,12 @@ def main(argv=None) -> int:
     if limit is not None:  # exact kernels of high order print integers past the default digit limit
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here rather than in the flush at exit
+        return code
+    except BrokenPipeError:  # not a failed identity: the reader stopped reading
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the flush at exit stays quiet
+        return 141
     except VerificationFailed as exc:
         print(exc.report.to_json())
         return 1

@@ -198,9 +198,28 @@ class QuadraticNumber:
     def __repr__(self):
         return f"QuadraticNumber({self.a}, {self.b}, {self.D})"
 
-    def __str__(self):
-        b = self.b
-        return f"{self.a} {'-' if b < 0 else '+'} {abs(b)}*sqrt({self.D})"
+    def __str__(self):  # str(self.a), the sign of b and str(abs(self.b)), read off the integers
+        sign = "-" if self._B < 0 else "+"
+        return f"{_ratio_text(self._A, self._C)} {sign} {_ratio_text(abs(self._B) * self._F[1], self._C)}*sqrt({self.D})"
+
+
+def _quad_product(start, factors: list) -> QuadraticNumber:
+    """start * prod(factors): an int, Fraction or QuadraticNumber start times a non-empty list
+    of QuadraticNumbers, all of one field (else DiscriminantMismatch), reduced by one gcd."""
+    if type(start) is QuadraticNumber:
+        start, factors = 1, [start, *factors]
+    (A, B, C), F = (start.numerator, 0, start.denominator), factors[0]._F
+    for f in factors:
+        if f._F is not F and f._F[:2] != F[:2]:
+            raise DiscriminantMismatch(f"sqrt({F[2]}) vs sqrt({f.D})")
+        A, B, C = A * f._A + B * f._B * F[0], A * f._B + B * f._A, C * f._C
+    return QuadraticNumber(A, B, (C, F))
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """n/d, d > 0, as str(Fraction(n, d)) writes it: in lowest terms by one gcd, "n" when whole."""
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _sign(A: int, B: int, N: int) -> int:
@@ -290,9 +309,7 @@ def format_scalar(v) -> str:
     """Render a scalar for serialization: "p/q" rationals, "a + b*sqrt(D)"
     quadratic numbers (pure-rational ones collapse to "p/q"), repr floats."""
     if isinstance(v, QuadraticNumber):
-        if not v._B:
-            return str(v.a)
-        return str(v)
+        return str(v) if v._B else _ratio_text(v._A, v._C)
     if isinstance(v, (int, Fraction)):
         return str(Fraction(v))
     return repr(v)

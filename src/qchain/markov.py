@@ -36,6 +36,7 @@ spectra._check, the one verdict of every identity verifier.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -45,7 +46,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, NoReturn
 
-from .exactnum import _is_exact, format_scalar, parse_exact, scalar_sqrt
+from .exactnum import _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
 from .spectra import IndexSetError, VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q
 from .spectra import _lift_state, _rel_err, _worst, index_set
@@ -243,14 +244,14 @@ def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> Condi
 
 
 def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
-    """kernel_at(i): the order-m kernel at lattice index i of the start y0,
-    where lift = (y0, radical, sqrt_q, q) is spectra._lift_state's: y0 is the
-    start in its lane, a float, Fraction or QuadraticNumber.  The lane check,
-    z0, the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are
-    formed once.  Kernel i's state is chi_i(y0) (y0 at i = 0), named in its
-    errors, its support is chi_{i+k}(y0), k in (m), and its z is z0 q^i, so
-    its masses are [m-1 choose j]_{1/q} prod_{h<k} 1/(1 + z0 q^{i+(k+h)/2})
-    prod_{h>k} 1/(1 + z0^{-1} q^{-(i+(k+h)/2)}) (module docstring)."""
+    """kernel_at(i): the order-m kernel at lattice index i of the start y0, where
+    lift = (y0, radical, sqrt_q, q) is spectra._lift_state's.  The lane check, z0,
+    the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are formed
+    once.  Kernel i's state is chi_i(y0), named in its errors; its support is
+    chi_{i+k}(y0), k in (m), and with f_e = 1/(1 + z0 q^{i+e}) its masses are
+    [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k} (1 - f_{(k+h)/2}).  The exact
+    lane forms one reciprocal per e and one reduction per mass (exactnum._quad_product);
+    the float lane takes 1 - f_e as 1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel."""
     y0, radical, _, q = lift
     exact = _is_exact(q)
     if not exact:  # a float q or start puts the whole kernel in the float lane
@@ -267,27 +268,51 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
         y = _chi(i, *lift) if i else y0
         try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
             values = [_chi(i + k, *lift) for k in ks]
-            # (factor for h < k, factor for h > k), both from one power p = q^{i+e}
-            factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
+            if exact:  # (factor for h < k, for h > k): 1/(1 + z^{-1} q^{-(i+e)}) is 1 - 1/(1 + z q^{i+e})
+                factors = {e: (f, 1 - f) for e in range(2 - m, m - 1) for f in [1 / (1 + z * q ** (i + e))]}
+            else:  # both from one power p = q^{i+e}, as 1 - f would cancel
+                factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
         except (OverflowError, ZeroDivisionError) as exc:
-            raise DegenerateSupport(f"support leaves the double range at state y={y} (m={m}, q={q})") from exc
+            where = f"at state y={y} (m={m}, q={q}){_first_out(m, i, lift)}"
+            raise DegenerateSupport(f"support leaves the double range {where}") from exc
 
         # support must consist of m distinct, finite points (strictly increasing in k)
         for left, right in zip(values, values[1:]):
             if not (left < right if exact else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
                 cause = "points collide" if exact or all(map(math.isfinite, values)) else "leaves the double range"
-                raise DegenerateSupport(f"support {cause} at state y={y} (m={m}, q={q})")
+                where = f"at state y={y} (m={m}, q={q}){'' if exact else _first_out(m, i, lift)}"
+                raise DegenerateSupport(f"support {cause} {where}")
 
         atoms = {}
-        for k, value, mass in zip(ks, values, reversed(binomials)):  # mass starts at [m-1 choose j]_{1/q}
-            for h in ks:
-                if h != k:
-                    mass = mass * factors[(k + h) // 2][h > k]
-            atoms[k] = Atom(value, mass)
+        if exact:  # each mass from its row entry and factors at once: one reduction
+            for k, value, start in zip(ks, values, reversed(binomials)):
+                atoms[k] = Atom(value, _quad_product(start, [factors[(k + h) // 2][h > k] for h in ks if h != k]))
+        else:
+            for k, value, mass in zip(ks, values, reversed(binomials)):  # mass starts at [m-1 choose j]_{1/q}
+                for h in ks:
+                    if h != k:
+                        mass = mass * factors[(k + h) // 2][h > k]
+                atoms[k] = Atom(value, mass)
 
         return ConditionalDistribution(m=m, y=y, q=q, atoms=atoms)
 
     return kernel_at
+
+
+def _first_out(m: int, i: int, lift) -> str:
+    """A float kernel's error path: the first support point chi_{i+k}, k ascending, that raises or is
+    not finite, else the first mass-factor power q^{i+e}, e ascending, that overflows or is 0.0."""
+    for k in index_set(m):
+        with contextlib.suppress(OverflowError, ZeroDivisionError):
+            if math.isfinite(_chi(i + k, *lift)):
+                continue
+        return f"; the first out is the support point chi_(i+k) at k = {k}, i = {i}"
+    for e in range(2 - m, m - 1):
+        with contextlib.suppress(OverflowError):
+            if lift[3] ** (i + e):
+                continue
+        return f"; the first out is the mass-factor power q^(i+e) at e = {e}, i = {i}"
+    return ""
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):

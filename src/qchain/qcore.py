@@ -16,14 +16,16 @@ builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
 with H_{-1} = h_{-1} = B_{-1} = p_{-1} = 0 and unit initial values; float or
 complex inputs must be finite.  The Gaussian binomials have one source, the
 q-Pascal row of _q_binomial_row, read by q_binomial, the connection sum, the
-addition formula and the kernel masses.  Pure functions; no global state.
+addition formula and the kernel masses.  Pure functions; the one global
+state is _q_binomial_row's bounded memo of rows, keyed by (n, q, type(q)).
 """
 
 from __future__ import annotations
 
 import cmath
 import operator
-from functools import reduce
+from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 __all__ = [
@@ -73,11 +75,20 @@ def q_factorial(n: int, q):
     return reduce(operator.mul, (bracket for _, _, bracket in _q_table(n + 1, q)[1:]), 1)
 
 
-def _q_binomial_row(n: int, q) -> list:
+def _q_binomial_row(n: int, q):
     """[n choose k]_q for k = 0..n by the q-Pascal rule [i+1 choose k] =
     [i choose k-1] + q^k [i choose k], updated in place from the top.  Sums
     and products only: defined at every q, an int q stays int and q = 1
-    gives C(n, k)."""
+    gives C(n, k).  An int or Fraction q reads its row, an unalterable tuple,
+    from one memo, typed so that 4 and Fraction(4) keep their own rows; any
+    other q forms a fresh list (an mpmath row depends on the working precision)."""
+    return (_exact_q_binomial_row if type(q) is int or type(q) is Fraction else _q_pascal_row)(n, q)
+
+
+_exact_q_binomial_row = lru_cache(maxsize=64, typed=True)(lambda n, q: tuple(_q_pascal_row(n, q)))
+
+
+def _q_pascal_row(n: int, q) -> list:
     row, powers = [1] * (n + 1), list(accumulate([q] * n, operator.mul, initial=1))
     for i in range(1, n):  # row[k] = [i choose k] for k <= i
         for k in range(i, 0, -1):

@@ -328,3 +328,16 @@ class TestInvalidKernelExit:
         monkeypatch.setattr(cli, "build_distribution", refuse)
         code, _, err = run(capsys, "dist", "--m", "2", "--y", "1", "--q", "4", "--strict")
         assert code == 4 and "sum to 0.5" in err
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # the kernel's 81 kB of JSON outlast one read and the pipe's buffer, so the writer meets the closed end
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "qchain.cli", "dist", "--m", "40", "--y", "1/3", "--q", "4"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, proc.wait(timeout=60), err) == (b"{\n", 141, b"")

@@ -14,6 +14,7 @@ from qchain.exactnum import (
     DiscriminantMismatch,
     NotAPerfectSquare,
     QuadraticNumber,
+    _quad_product,
     format_scalar,
     parse_exact,
     quad_sqrt,
@@ -434,3 +435,33 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_exact("sqrt(")
+
+
+class TestOneReduction:
+    @staticmethod
+    def seeded(rng, disc=D):
+        fraction = lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 30))
+        return qn(fraction(), fraction(), disc)
+
+    @pytest.mark.parametrize("disc", [D, Fraction(9, 4)])  # 9/4: a square field, folded into Q
+    def test_the_fold_is_the_product(self, disc):
+        rng = random.Random(13)
+        for start in (1, -3, 0, Fraction(-5, 7), Fraction(22, 3), qn(Fraction(1, 2), Fraction(-3, 5), disc)):
+            for n in range(1, 9):
+                factors = [self.seeded(rng, disc) for _ in range(n)]
+                folded, product = _quad_product(start, factors), math.prod(factors, start=start)
+                assert folded == product and str(folded) == str(product), (start, n)
+
+    def test_the_fold_refuses_a_second_field(self):
+        other = qn(1, 1, Fraction(5))
+        for start, factors in [(1, [qn(1, 1), other]), (Fraction(1, 2), [other, qn(2, 1)]), (qn(1, 1), [other])]:
+            with pytest.raises(DiscriminantMismatch):
+                _quad_product(start, factors)
+
+    def test_text_is_the_text_of_its_fraction_parts(self):
+        rng = random.Random(17)
+        values = [qn(Fraction(-3, 4), Fraction(5, 6)), qn(Fraction(5, 2), Fraction(-7, 3)), qn(0, Fraction(2, 9))]
+        values += [qn(3, -2), qn(Fraction(-7), Fraction(1, 2)), qn(Fraction(1, 3), 4), qn(0, -1), qn(-6, 0)]
+        values += [self.seeded(rng, Fraction(rng.randint(1, 50), rng.randint(1, 9))) for _ in range(300)]
+        for v in values:
+            assert str(v) == f"{v.a} {'-' if v.b < 0 else '+'} {abs(v.b)}*sqrt({v.D})"

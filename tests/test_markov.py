@@ -34,8 +34,8 @@ from qchain.markov import (
     simulate,
     verify_chapman_kolmogorov,
 )
-from qchain.qcore import eval_H_seq
-from qchain.spectra import IndexSetError, VerificationFailed, VerificationReport, chi, index_set, index_sumset
+from qchain.qcore import eval_H_seq, q_binomial
+from qchain.spectra import IndexSetError, VerificationFailed, VerificationReport, chi, chi_radical, index_set, index_sumset
 
 Y1, Q4 = Fraction(1), Fraction(4)
 
@@ -151,6 +151,43 @@ class TestBuildDistribution:
         pattern = rf"leaves the double range.*y={re.escape(repr(y))}.*m={order}.*q={re.escape(repr(q))}"
         with pytest.raises(DegenerateSupport, match=pattern):
             build(*args)
+
+    @pytest.mark.parametrize(
+        "build, args, order, quantity, index",
+        [
+            (build_distribution, (320, 0.0, 16.0), 320, "power", -318),  # 16^-318 underflows to 0.0
+            (build_distribution, (160, 0.0, 100.0), 160, "power", 155),  # 100^155 overflows
+            (build_distribution, (320, 2.5, 16.0), 320, "point", -319),
+            (k_step_distribution, (3, 200, 1.0, 16.0), 401, "point", -400),
+            (k_step_distribution, (3, 400, 1.0, 16.0), 801, "point", -800),
+        ],
+    )
+    def test_support_past_the_double_range_names_the_first_index_out(self, build, args, order, quantity, index):
+        # the named index is the first, ascending, whose support point chi_k raises or is not
+        # finite, or, with every point finite, whose power q^e overflows or underflows to 0.0
+        y, q = args[-2:]
+
+        def point_out(k):
+            try:
+                return not math.isfinite(chi(k, y, q))
+            except OverflowError:
+                return True
+
+        def power_out(e):
+            try:
+                return q**e == 0.0
+            except OverflowError:
+                return True
+
+        if quantity == "point":
+            out, indices, text = point_out, index_set(order), f"the support point chi_(i+k) at k = {index}, i = 0"
+        else:
+            assert not any(map(point_out, index_set(order)))
+            out, indices, text = power_out, range(2 - order, order - 1), f"the mass-factor power q^(i+e) at e = {index}, i = 0"
+        assert [j for j in indices if out(j)][0] == index
+        with pytest.raises(DegenerateSupport) as exc:
+            build(*args)
+        assert str(exc.value).endswith(f"; the first out is {text}")
 
     def test_float_masses_hold_the_stated_bound(self):
         # the module docstring's contract: every float mass whose exact value
@@ -270,6 +307,29 @@ class TestLatticeKernels:
                             assert abs(mine.value - atom.value) <= 2e-14 * max(1.0, abs(atom.value)), (q, y, m, i, k)
                             if atom.mass >= sys.float_info.min:
                                 assert abs(mine.mass - atom.mass) <= 2e-14 * atom.mass, (q, y, m, i, k)
+
+    @staticmethod
+    def folded_masses(m, i, y, q):
+        """Each mass as a left fold from [m-1 choose j]_{1/q}, one product at a time, with both
+        reciprocals per e = i + (k+h)/2: 1/(1 + z q^e) for h < k, 1/(1 + z^{-1} q^{-e}) for h > k."""
+        z = (q - 1) / 4 * (y + chi_radical(y, q)) ** 2  # e^{2 theta}
+        factors = {e: (1 / (1 + z * q**e), 1 / (1 + 1 / (z * q**e))) for e in range(i + 2 - m, i + m - 1)}
+        masses = {}
+        for k in index_set(m):
+            mass = q_binomial(m - 1, (m - 1 - k) // 2, 1 / q)
+            for h in index_set(m):
+                if h != k:
+                    mass = mass * factors[i + (k + h) // 2][h > k]
+            masses[k] = mass
+        return masses
+
+    def test_exact_masses_are_the_fold_with_both_reciprocals(self):
+        for q in (Q4, Fraction(9, 4), Fraction(9), Fraction(25, 16)):
+            for y in (Fraction(0), Y1, Fraction(-137, 23), Fraction(-1000), chi(1, Y1, q)):
+                for m in range(2, 17):
+                    for i in (0, 3, -5):
+                        masses = {k: atom.mass for k, atom in self.at_index(m, i, y, q).atoms.items()}
+                        assert masses == self.folded_masses(m, i, y, q), (q, y, m, i)
 
     def test_errors_name_the_state_at_the_index(self):
         state = repr(float(chi(510, 1.0, 16.0)))

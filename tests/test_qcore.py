@@ -29,6 +29,7 @@ from qchain.qcore import (
     q_factorial,
     q_pochhammer,
 )
+from qchain.qcore import _exact_q_binomial_row, _q_binomial_row, _q_pascal_row
 
 rational_q = st.fractions(min_value=Fraction(1, 5), max_value=5, max_denominator=12)
 rational_pts = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -245,6 +246,35 @@ class TestOneBinomialRow:
                 assert q_binomial(n, k, exact) == expected
                 for q in (2.25, mpmath.mpf(2.25)):
                     assert float(q_binomial(n, k, q)) == pytest.approx(float(expected), rel=1e-14)
+
+    @pytest.mark.parametrize("order", [(4.0, Fraction(4), 4), (4, Fraction(4), 4.0), (Fraction(4), 4, 4.0)])
+    def test_the_row_memo_keeps_each_lane_apart(self, order):
+        # whichever q comes first, a float q gives floats, Fraction(4) Fractions and int 4 ints
+        _exact_q_binomial_row.cache_clear()
+        for q in order:
+            for n in range(2, 9):
+                row = _q_binomial_row(n, q)
+                assert [type(v) for v in row[1:-1]] == [type(q)] * (n - 1), (q, n)
+                exact = _q_pascal_row(n, Fraction(4))
+                assert list(row) == (pytest.approx(exact, rel=1e-15) if type(q) is float else exact)
+                assert isinstance(row, list if type(q) is float else tuple)
+
+    def test_the_rows_at_q_one_are_the_binomials(self):
+        for n in range(12):
+            for q in (1, Fraction(1)):
+                row = _q_binomial_row(n, q)
+                assert row == tuple(math.comb(n, k) for k in range(n + 1))
+                assert all(type(v) is type(q) for v in row[1:-1])
+
+    def test_mpmath_rows_follow_the_working_precision(self):
+        rows = {}
+        for dps in (15, 50):
+            with mpmath.workdps(dps):
+                rows[dps] = _q_binomial_row(8, 1 + mpmath.mpf(1) / 3)
+        assert rows[15] != rows[50]
+        with mpmath.workdps(60):
+            gaps = [abs(v - mpmath.mpf(b.numerator) / b.denominator) / b for v, b in zip(rows[50], _q_binomial_row(8, Fraction(4, 3)))]
+            assert max(gaps) < 1e-45
 
 
 class TestNonFiniteInputs:
