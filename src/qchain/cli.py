@@ -128,8 +128,9 @@ def cmd_simulate(args) -> int:
         trajectory.write_csv(args.out)
         trajectory.write_metadata(f"{args.out}.meta.json")
         print(f"wrote {len(trajectory.states)} states to {args.out}")
-    else:
-        sys.stdout.write(trajectory.to_csv())
+    else:  # in 64 KiB writes: under an unbuffered stdout one write of it all ends quietly if the reader leaves
+        text = trajectory.to_csv()
+        sys.stdout.writelines(text[start : start + 65536] for start in range(0, len(text), 65536))
     return 0
 
 

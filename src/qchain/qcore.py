@@ -2,10 +2,10 @@
 of four polynomial families, generic over the scalar backend.
 
 All evaluators are written once against plain arithmetic operators and
-work unchanged for float, complex, Fraction, QuadraticNumber and mpmath
-scalars.  The four families share one three-term driver,
-y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n), which each
-builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
+work unchanged for float, complex, Fraction, QuadraticNumber, unreduced
+exactnum._Ratio and mpmath scalars.  The four families share one three-term
+driver, y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n),
+which each builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
 
     H_n(x|q)        monic q-Hermite:      x H_n = H_{n+1} + [n]_q H_{n-1}
     h_n(x|q)        continuous q-Hermite: 2x h_n = h_{n+1} + (1-q^n) h_{n-1}

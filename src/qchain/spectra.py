@@ -40,6 +40,7 @@ from .exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
     _is_exact,
+    _Ratio,
     quad_sqrt,
     scalar_sqrt,
 )
@@ -371,7 +372,10 @@ def verify_factorization(
     counterexample.  Each route forms its x- and y-free part once per call
     (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) and x^2
     per x, rho y q^i, B_k(y|q) and y^2 per y for this call only, and reads
-    no other route's values."""
+    no other route's values.  When q, rho and every coordinate is an int or
+    Fraction, all three routes run on exactnum._Ratio, free of Fraction's
+    gcds; its sums take the lcm of the denominators, without which the
+    recurrence's denominators grow like Fibonacci numbers in bit length."""
     if m < 1:
         raise ValueError(f"verify_factorization needs degree m >= 1, got m = {m}")
     if q == 1:
@@ -383,21 +387,24 @@ def verify_factorization(
     sample_points = [tuple(point) for point in sample_points]  # the count below must not use up an iterator
     if (distinct := len(set(sample_points))) <= (m + 1) ** 2:
         raise ValueError(f"need more than {(m + 1) ** 2} distinct sample points for degree {m}, got {distinct}")
-    exact = _is_exact(q, *(c for point in sample_points for c in point))
+    exact = _is_exact(q, *(coords := [c for point in sample_points for c in point]))
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
     rho = (scalar_sqrt(q) if sqrt_q is None else sqrt_q) ** (-(m - 1))
-    b, shifts_of = _p_parts(m, rho, q)
-    b, shifts = list(b), functools.cache(lambda y: list(shifts_of(y)))
-    weights, terms = _expansion_weights(m, scalar_sqrt(q) ** (-(m - 1)), q), _product_terms(m, q)
-    B_of, H_of = functools.cache(lambda y: eval_B_seq(m, y, q)), functools.cache(lambda x: eval_H_seq(m, x, q))
-    square = functools.cache(lambda v: v * v)
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
+    lift = _Ratio.lift if exact and all(type(v) in (int, Fraction) for v in (q, rho, *coords)) else lambda v: v
+    weights, terms = _expansion_weights(m, lift(scalar_sqrt(q) ** (-(m - 1))), lift(q)), _product_terms(m, q)
+    terms, rho, q = [None if t is None else tuple(map(lift, t)) for t in terms], lift(rho), lift(q)
+    b, shifts_of = _p_parts(m, rho, q)
+    b, shifts = list(b), functools.cache(lambda y: list(shifts_of(lift(y))))
+    B_of, H_of = functools.cache(lambda y: eval_B_seq(m, lift(y), q)), functools.cache(lambda x: eval_H_seq(m, lift(x), q))
+    square = functools.cache(lambda v: lift(v) * lift(v))
     for x, y in sample_points:
-        recur = _p_from_parts(x, shifts(y), b, x=x, y=y, rho=rho, q=q)[m]
+        X, Y = lift(x), lift(y)
+        recur = _p_from_parts(X, shifts(y), b, x=X, y=Y, rho=rho, q=q)[m]
         summed = _expansion(weights, B_of(y), H_of(x))
-        product = _product(x, -y, square(x) + square(y), terms)
+        product = _product(X, -Y, square(x) + square(y), terms)
         witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
         _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report

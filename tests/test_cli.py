@@ -341,3 +341,18 @@ def test_a_closed_stdout_exits_141_without_a_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (first, proc.wait(timeout=60), err) == (b"{\n", 141, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [{}, {"PYTHONUNBUFFERED": "1"}], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_a_simulation_with_141(unbuffered):
+    # 1.6 MB of CSV: under PYTHONUNBUFFERED a single write of it all comes back short without an error
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(unbuffered, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "qchain.cli", "simulate", "--m", "3", "--y", "1", "--q", "4", "--steps", "100000"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, proc.wait(timeout=60), err) == (b"step,state\n", 141, b"")

@@ -15,6 +15,7 @@ from qchain.exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
     _quad_product,
+    _Ratio,
     format_scalar,
     parse_exact,
     quad_sqrt,
@@ -465,3 +466,50 @@ class TestOneReduction:
         values += [self.seeded(rng, Fraction(rng.randint(1, 50), rng.randint(1, 9))) for _ in range(300)]
         for v in values:
             assert str(v) == f"{v.a} {'-' if v.b < 0 else '+'} {abs(v.b)}*sqrt({v.D})"
+
+
+operands = st.one_of(
+    st.integers(-60, 60),
+    rationals,
+    rationals.map(lambda f: ("ratio", f)),  # the same value as a _Ratio
+)
+
+
+class TestUnreducedRatio:
+    """_Ratio against Fraction: the same value and the same text after every step."""
+
+    @staticmethod
+    def as_ratio(operand):
+        return _Ratio.lift(operand[1]) if isinstance(operand, tuple) else operand
+
+    @staticmethod
+    def as_fraction(operand):
+        return operand[1] if isinstance(operand, tuple) else operand
+
+    @settings(max_examples=120, deadline=None, derandomize=True)  # derandomized: a seeded run
+    @given(rationals, st.lists(st.tuples(st.sampled_from("+-*"), st.booleans(), operands), min_size=1, max_size=12))
+    def test_a_sequence_of_steps_is_the_fraction_sequence(self, start, steps):
+        apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+        ratio, fraction = _Ratio.lift(start), start
+        for op, ratio_on_the_left, operand in steps:
+            left, right = (ratio, self.as_ratio(operand)) if ratio_on_the_left else (self.as_ratio(operand), ratio)
+            ratio = apply[op](left, right)
+            a, b = (fraction, self.as_fraction(operand))[:: 1 if ratio_on_the_left else -1]
+            fraction = apply[op](a, b)
+            assert type(ratio) is _Ratio and ratio.d > 0
+            assert ratio == fraction and fraction == ratio and str(ratio) == str(fraction)
+        assert ratio != fraction + 1 and -ratio == -fraction
+
+    def test_an_operand_outside_the_rationals_is_not_implemented(self):
+        r = _Ratio(3, 6)
+        for other in (0.5, 1j, QuadraticNumber(1, 1, D), "1/2"):
+            assert r.__add__(other) is NotImplemented and r.__mul__(other) is NotImplemented
+            assert r.__sub__(other) is NotImplemented and r.__rsub__(other) is NotImplemented
+            assert r.__eq__(other) is NotImplemented
+        assert r != 0.5  # no float comparison: == falls back to identity
+
+    def test_sums_take_the_lcm_and_products_do_not_reduce(self):
+        a, b = _Ratio(1, 6), _Ratio(1, 10)
+        assert ((a + b).n, (a + b).d) == (8, 30) and ((a - b).n, (a - b).d) == (2, 30)
+        assert ((a * b).n, (a * b).d) == (1, 60) and ((2 - a).n, (2 - a).d) == (11, 6)
+        assert str(_Ratio(8, 30)) == "4/15" and str(_Ratio(-30, 6)) == "-5" and str(_Ratio(0, 7)) == "0"
