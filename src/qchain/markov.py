@@ -31,7 +31,8 @@ kernel at each lattice index i (support chi_{i+k}(y0), z = z0 q^i).
 Accumulating mass by index sum i + j, an order-m kernel composed with
 order-n ones lands exactly on the order-(m+n-1) kernel, atom by atom:
 compose(check=True) and verify_chapman_kolmogorov hold it there through
-spectra._check, the one verdict of every identity verifier.
+spectra._check, the one verdict of every identity verifier.  Kernels are
+compared that way or by their atoms dicts, whose == is exact-lane identity.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple, NoReturn
 from .exactnum import _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
 from .spectra import IndexSetError, VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q
-from .spectra import _lift_state, _rel_err, _worst, index_set
+from .spectra import _lift_state, index_set
 
 __all__ = [
     "DEFAULT_SEED",
@@ -193,18 +194,6 @@ class ConditionalDistribution:
         except ValueError as exc:
             _name_digit_limit(exc, m, doc["y"], doc["q"])
 
-    def max_deviation(self, other: "ConditionalDistribution") -> float:
-        """Largest spectra._rel_err gap between the values and masses (at most
-        1: absolute gaps) of two kernels on one index set, inf across index
-        sets, nan if any gap is.  Exact gaps are taken before rounding; an exact
-        kernel meets a float one in floats.  spectra._check decides identity."""
-        if self.indices() != other.indices():
-            return math.inf
-        pairs = [(mine, other.atoms[k]) for k, mine in self.atoms.items()]
-        if self.exact != other.exact:  # an exact kernel against a float one
-            pairs = [(Atom(*map(float, mine)), Atom(*map(float, theirs))) for mine, theirs in pairs]
-        return _worst(0.0, *(_rel_err(a, b) for mine, theirs in pairs for a, b in zip(mine, theirs)))
-
 
 def _json_leaf(x) -> str:
     """A str, int or float as json.dumps writes it: nan and +-inf as NaN, Infinity and -Infinity."""
@@ -229,17 +218,14 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def build_distribution(m: int, y, q, sqrt_q=None, strict: bool = False) -> ConditionalDistribution:
+def build_distribution(m: int, y, q, strict: bool = False) -> ConditionalDistribution:
     """Construct the one-step kernel at state y: index 0 of a fresh
-    _lattice_kernels(m, lift) on y's lift.  `strict` runs check_masses on
-    the result; a given sqrt_q must equal the lifted sqrt(q) (ValueError otherwise)."""
+    _lattice_kernels(m, lift) on y's lift, sqrt(q) formed there from q.
+    `strict` runs check_masses on the result."""
     _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
-    lift = _lift_state(y, q)
-    if sqrt_q is not None and sqrt_q != lift[2]:
-        raise ValueError(f"sqrt_q = {sqrt_q} differs from sqrt(q) = {lift[2]} at q = {lift[3]}")
-    dist = _lattice_kernels(m, lift)(0)
+    dist = _lattice_kernels(m, _lift_state(y, q))(0)
     return dist.check_masses() if strict else dist
 
 
@@ -386,20 +372,13 @@ def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
     return build_distribution(k * (m - 1) + 1, y, q)
 
 
-def verify_chapman_kolmogorov(
-    m: int,
-    n: int,
-    y,
-    q,
-    mode: str | None = None,
-    multi_step: bool = True,
-) -> VerificationReport:
-    """Check kernel consistency: compose(kernel_m, n) == kernel_{m+n-1},
-    atom for atom through _check_direct, the verdict of every identity
-    verifier (exact mode: identical; float mode: values within 1e-9
-    relative to max(1, |value|), masses within 1e-9 absolute).
-    With `multi_step`, additionally compose the 2-step kernel with a further
-    order-m step and match it against the 3-step kernel.
+def verify_chapman_kolmogorov(m: int, n: int, y, q, mode: str | None = None) -> VerificationReport:
+    """Check kernel consistency in two stages, both always run, each atom for
+    atom through _check_direct, the verdict of every identity verifier (exact
+    mode: identical; float mode: values within 1e-9 relative to max(1, |value|),
+    masses within 1e-9 absolute): "one-step", compose(kernel_m, n) ==
+    kernel_{m+n-1}; then "multi-step", the 2-step kernel composed with a
+    further order-m step == the 3-step kernel.
     """
     if mode not in (None, "exact", "float"):
         raise ValueError(f"mode must be None, 'exact' or 'float', got {mode!r}")
@@ -411,8 +390,7 @@ def verify_chapman_kolmogorov(
     mode = "exact" if exact else "float"
     report = VerificationReport("chapman-kolmogorov", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": mode})
     # (label, steps k of the outer kernel, order of the kernel composed after it)
-    stages = [("one-step", 1, n), ("multi-step", 2, m)] if multi_step else [("one-step", 1, n)]
-    for label, k, inner in stages:
+    for label, k, inner in [("one-step", 1, n), ("multi-step", 2, m)]:
         _check_direct(report, compose(k_step_distribution(m, k, y, q), inner, check=False), label)
     return report
 

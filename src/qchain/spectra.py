@@ -66,9 +66,7 @@ __all__ = [
     "VerificationFailed",
     "VerificationReport",
     "index_set",
-    "index_sumset",
     "chi",
-    "chi_radical",
     "v_factor",
     "t_factor",
     "eval_sum_form",
@@ -185,12 +183,6 @@ def index_set(m: int) -> list[int]:
     return list(range(-(m - 1), m, 2))
 
 
-def index_sumset(m: int, n: int) -> list[int]:
-    """The literal sumset {i + j : i in (m), j in (n)}, formed rather than
-    assumed: it is (m+n-1), the support of order-m and order-n kernels composed."""
-    return sorted({i + j for i in index_set(m) for j in index_set(n)})
-
-
 # ---------------------------------------------------------------------------
 # chi and the quadratic factors
 # ---------------------------------------------------------------------------
@@ -262,11 +254,6 @@ def chi(k: int, y, q):
         return _chi(k, *state)
     except (OverflowError, ZeroDivisionError) as exc:
         raise OverflowError(f"chi_k needs q^(k/2) inside the double range, got k = {k}, q = {state[3]}") from exc
-
-
-def chi_radical(y, q):
-    """sqrt(y^2 + 4/(q-1)) in y's backend (the radical chi is built from)."""
-    return _lift_state(y, q)[1]
 
 
 def _factor_terms(degrees, q, divisor) -> list:
@@ -351,7 +338,7 @@ def _factor_degrees(m: int) -> range:
 def rational_grid(side: int) -> list[Fraction]:
     """side evenly spaced rationals covering [-2, 2] (just -2 at side 1)."""
     if side < 1:
-        raise ValueError("grid side must be >= 1")
+        raise ValueError(f"grid side must be >= 1, got {side}")
     return [Fraction(4 * i, max(side - 1, 1)) - 2 for i in range(side)]
 
 
@@ -365,11 +352,11 @@ def verify_factorization(
     """Check the three evaluation routes to p_m(x | y, q^{-(m-1)/2}, q)
     (recurrence, connection sum, v-factor product) against each other on a
     grid of more than (m+1)^2 distinct (x, y) points (ValueError otherwise),
-    enough to pin a bivariate degree-m identity.  The default grid is
-    rational; in the float lane q and every point must be finite.  A given
-    sqrt_q sets only the recurrence route's rho = sqrt_q^{-(m-1)}; the other
-    routes form sqrt(q) from q, so a sqrt_q inconsistent with q shows as a
-    counterexample.  Each route forms its x- and y-free part once per call
+    enough to pin a bivariate degree-m identity.  q must lie in (0, 1) or
+    (1, inf) in both lanes.  The default grid is rational; in the float lane
+    q and every point must be finite.  A given sqrt_q sets only the
+    recurrence route's rho = sqrt_q^{-(m-1)}; the other routes form sqrt(q)
+    from q, so a sqrt_q inconsistent with q shows as a counterexample.  Each route forms its x- and y-free part once per call
     (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) and x^2
     per x, rho y q^i, B_k(y|q) and y^2 per y for this call only, and reads
     no other route's values.  When q, rho and every coordinate is an int or
@@ -391,6 +378,8 @@ def verify_factorization(
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
+    elif q <= 0:  # the float lane's _float_q refuses these too
+        raise ValueError(f"needs q in (0,1) or (1,inf), got {q}")
     rho = (scalar_sqrt(q) if sqrt_q is None else sqrt_q) ** (-(m - 1))
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
     lift = _Ratio.lift if exact and all(type(v) in (int, Fraction) for v in (q, rho, *coords)) else lambda v: v

@@ -57,6 +57,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "factorization", "--m", "1", "--q", "4")
         assert code == 0 and json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("m", ["1", "2"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_factorization_refuses_q_zero_in_both_lanes(self, capsys, m, mode):
+        code, out, err = run(capsys, "verify", "factorization", "--m", m, "--q", "0", "--mode", mode)
+        assert code == 3 and out == "" and "needs q in (0,1) or (1,inf), got 0" in err
+
     def test_factorization_custom_grid(self, capsys):
         code, out, _ = run(capsys, "verify", "factorization", "--m", "2", "--q", "9/4", "--grid-side", "5")
         assert code == 0
@@ -97,8 +103,8 @@ class TestVerify:
 
         real = markov_mod.build_distribution
 
-        def poisoned(m, y, q, sqrt_q=None, strict=False):
-            dist = real(m, y, q, sqrt_q, strict)
+        def poisoned(m, y, q, strict=False):
+            dist = real(m, y, q, strict)
             if m == 3:
                 from qchain.markov import Atom
 
@@ -185,7 +191,7 @@ class TestDist:
         assert code == 0
         clone = ConditionalDistribution.from_json_dict(json.loads(out))
         direct = build_distribution(3, Fraction(-3, 7), Fraction(9, 4))
-        assert clone.max_deviation(direct) == 0.0
+        assert clone.atoms == direct.atoms
 
     def test_exact_kernel_past_the_digit_limit(self, capsys):
         # a valid kernel whose masses print integers longer than Python's
@@ -210,7 +216,7 @@ class TestDist:
         assert code == 2
 
     def test_negative_mass_exit_four(self, capsys, monkeypatch):
-        def refuse(m, y, q, sqrt_q=None, strict=False):
+        def refuse(m, y, q, strict=False):
             raise NegativeMassError(-1, -0.25)
 
         monkeypatch.setattr(cli, "build_distribution", refuse)
@@ -322,7 +328,7 @@ def test_only_the_addition_verifier_loads_mpmath():
 
 class TestInvalidKernelExit:
     def test_unnormalized_kernel_exit_four(self, capsys, monkeypatch):
-        def refuse(m, y, q, sqrt_q=None, strict=False):
+        def refuse(m, y, q, strict=False):
             raise InvalidKernel("masses of the kernel at m=2, y=1, q=4 sum to 0.5, not 1")
 
         monkeypatch.setattr(cli, "build_distribution", refuse)

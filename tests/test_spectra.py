@@ -23,12 +23,10 @@ from qchain.spectra import (
     NotRepresentable,
     VerificationFailed,
     chi,
-    chi_radical,
     eval_product_form,
     eval_sum_form,
     hermite_limit_identity,
     index_set,
-    index_sumset,
     rational_grid,
     t_factor,
     v_factor,
@@ -38,8 +36,19 @@ from qchain.spectra import (
     verify_factorization,
     verify_h_H_relation,
 )
+from qchain.spectra import _lift_state
 
 D_REF = Fraction(7, 3)  # discriminant at y = 1, q = 4
+
+
+def sumset(m, n):
+    """The literal sumset {i + j : i in (m), j in (n)}: the support of order-m and order-n kernels composed."""
+    return sorted({i + j for i in index_set(m) for j in index_set(n)})
+
+
+def radical(y, q):
+    """sqrt(y^2 + 4/(q-1)) in y's backend, the radical chi is built from."""
+    return _lift_state(y, q)[1]
 
 
 class TestIndexSets:
@@ -62,14 +71,14 @@ class TestIndexSets:
             index_set(0)
 
     def test_sumset_examples(self):
-        assert index_sumset(2, 2) == [-2, 0, 2]
-        assert index_sumset(3, 2) == [-3, -1, 1, 3]
-        assert index_sumset(1, 5) == index_set(5)
+        assert sumset(2, 2) == [-2, 0, 2]
+        assert sumset(3, 2) == [-3, -1, 1, 3]
+        assert sumset(1, 5) == index_set(5)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     def test_sumset_collapses(self, m, n):
-        assert index_sumset(m, n) == index_set(m + n - 1)
+        assert sumset(m, n) == index_set(m + n - 1)
 
     def test_parity_disjoint_neighbours(self):
         # (2) and (3) share no indices; nesting only holds two apart
@@ -107,7 +116,7 @@ class TestChi:
         # q = 2 is no rational square, but a float state takes q as a float,
         # the lane the kernel at that state already runs in
         assert chi(1, 1.0, Fraction(2)) == build_distribution(2, 1.0, Fraction(2)).value(1)
-        assert chi_radical(1.0, Fraction(2)) == math.sqrt(5.0)
+        assert radical(1.0, Fraction(2)) == math.sqrt(5.0)
 
     def test_not_representable(self):
         # y = sqrt(7/3): y^2 + 4/3 = 11/3 has no root in Q(sqrt(7/3))
@@ -132,8 +141,8 @@ class TestChi:
                 assert v_factor(n, chi(k, y, q), -y, q) == 0
 
     def test_radical(self):
-        assert chi_radical(Fraction(1), Fraction(4)) == QuadraticNumber(0, 1, D_REF)
-        assert chi_radical(1.0, 4.0) == pytest.approx(math.sqrt(7 / 3))
+        assert radical(Fraction(1), Fraction(4)) == QuadraticNumber(0, 1, D_REF)
+        assert radical(1.0, 4.0) == pytest.approx(math.sqrt(7 / 3))
 
     @pytest.mark.parametrize("q", [2.25, 4.0, 16.0])
     def test_float_accuracy_against_reference(self, q):
@@ -224,8 +233,15 @@ class TestFactorizationForms:
         assert rational_grid(5) == [-2, -1, 0, 1, 2]
         assert rational_grid(4) == [-2, Fraction(-2, 3), Fraction(2, 3), 2]
         assert all(type(v) is Fraction for v in rational_grid(1) + rational_grid(4))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid side must be >= 1, got 0$"):
             rational_grid(0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("q", [0, Fraction(-4), Fraction(-1, 4), 0.0, -4.0, -0.25])
+    def test_q_at_most_zero_is_refused_in_both_lanes(self, m, q):
+        # checked before rho = sqrt(q)^(1-m): at q = 0 that divides by 0 (or is 1 at m = 1), at -4 it has no square root
+        with pytest.raises(ValueError, match=rf"^needs q in \(0,1\) or \(1,inf\), got {re.escape(str(q))}$"):
+            verify_factorization(m, q)
 
     def test_verify_rejects_small_grids(self):
         with pytest.raises(ValueError):
@@ -476,6 +492,21 @@ class TestVerdicts:
         digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
         assert digest == "2409a7a91dcf2d8d2fba3b2bbd1d4efa06db3166b50d09b5bd9e0f201c8aeeed"
 
+    def test_float_lane_chapman_kolmogorov_reports_are_pinned(self):
+        # sha256 of the concatenated float-lane report JSON over a seeded sweep,
+        # one-step and multi-step stages both: a change to any float support
+        # point, mass or composed sum moves a recorded worst residual
+        rng = random.Random(27)
+        reports = []
+        for q in (2.25, 4.0, 16.0):
+            for m, n in ((2, 2), (2, 3), (3, 2), (4, 3)):
+                for _ in range(3):
+                    report = verify_chapman_kolmogorov(m, n, rng.uniform(-5, 5), q)
+                    assert report.points_checked == (m + n - 1) + (3 * m - 2)  # every atom of both stages
+                    reports.append(report)
+        digest = hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+        assert digest == "d4a68ca08c8a09b235eec86958b3d238a47f4a0dd586d2fa112358286c313e8c"
+
     def test_addition_formula_reports_are_pinned(self):
         # sha256 over a seeded sweep, reports failed at rel_tol = -1 included:
         # the residual is a difference of 50-digit sides, so any change in
@@ -533,10 +564,10 @@ class TestVerdicts:
         [
             lambda y, q: build_distribution(2, y, q),
             lambda y, q: chi(1, y, q),
-            lambda y, q: chi_radical(y, q),
+            lambda y, q: _lift_state(y, q),
             lambda y, q: verify_chi_properties(1, 1, y, q),
         ],
-        ids=["build_distribution", "chi", "chi_radical", "verify_chi_properties"],
+        ids=["build_distribution", "chi", "_lift_state", "verify_chi_properties"],
     )
     def test_one_q_range_error_names_q(self, call, y, q):
         with pytest.raises(ValueError, match=rf"^needs q > 1, got q = {re.escape(str(q))}$"):
