@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -81,6 +82,15 @@ VERIFIERS = {
 
 # The type of each --flag a row may need, in the order the parsers list them.
 FLAGS = {"m": int, "n": int, "x": str, "y": str, "rho": str, "q": str, "theta": float, "phi": float}
+VALUE_FLAGS = {f"--{name}" for name in FLAGS} | {"--max-state"}  # --y and --q of dist and simulate too
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with --q -1/4 as --q=-1/4 for each VALUE_FLAGS flag: argparse reads a separate -1/4 as an option."""
+    out = []
+    for arg in argv:
+        out.append(f"{out.pop()}={arg}" if out and out[-1] in VALUE_FLAGS and re.match(r"-\.?\d", arg) else arg)
+    return out
 
 
 def _add_flags(parser, table):
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", required=True)
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--seed", type=int, default=markov.DEFAULT_SEED)
-    ps.add_argument("--max-state", type=float, default=1e100)
+    ps.add_argument("--max-state", type=float, default=ChainConfig.max_state)
     ps.add_argument("--out", help="CSV path; metadata sidecar goes to OUT.meta.json")
     ps.set_defaults(func=cmd_simulate)
 
@@ -179,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:  # exact kernels of high order print integers past the default digit limit
         sys.set_int_max_str_digits(0)

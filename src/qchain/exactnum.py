@@ -153,9 +153,6 @@ class QuadraticNumber:
             n >>= 1
         return out
 
-    def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self._A, -self._B, (self._C, self._F))
-
     # -- exact comparisons (total_ordering adds <=, >, >=) ------------------
 
     def sign(self) -> int:
@@ -352,7 +349,7 @@ def format_scalar(v) -> str:
 
 
 def parse_exact(s: str):
-    """Parse "p/q" into a Fraction or "a + b*sqrt(D)" into a QuadraticNumber."""
+    """Parse "p/q" into a Fraction or "a + b*sqrt(D)" into a QuadraticNumber, as from_json_dict reads them."""
     s = s.strip()
     if "sqrt" not in s:
         return Fraction(s)

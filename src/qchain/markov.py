@@ -45,7 +45,8 @@ import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, NoReturn
+from itertools import accumulate
+from typing import Callable, ClassVar, NamedTuple, NoReturn
 
 from .exactnum import _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
@@ -131,26 +132,14 @@ class ConditionalDistribution:
     def indices(self) -> list[int]:
         return sorted(self.atoms)
 
-    def value(self, k: int):
-        return self.atoms[k].value
-
-    def mass(self, k: int):
-        return self.atoms[k].mass
-
-    def mass_total(self):
-        return sum(atom.mass for atom in self.atoms.values())
-
-    def negative_atoms(self) -> list[int]:
-        return sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
-
     def check_masses(self) -> "ConditionalDistribution":
-        """Return self if the masses are a probability vector: none negative
-        (else NegativeMassError) and summing to 1, exactly in the exact lane
-        and within 1e-12 in the float lane, so nan and inf fail (InvalidKernel)."""
-        negatives = self.negative_atoms()
+        """Return self if the masses are a probability vector: none negative (else NegativeMassError
+        at the lowest such index) and summing to 1, exactly in the exact lane and within 1e-12 in
+        the float lane, so nan and inf fail (InvalidKernel naming the total)."""
+        negatives = sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
         if negatives:
             raise NegativeMassError(negatives[0], self.atoms[negatives[0]].mass)
-        total = self.mass_total()
+        total = sum(atom.mass for atom in self.atoms.values())
         if not (total == 1 if self.exact else abs(total - 1) <= 1e-12):
             raise InvalidKernel(f"masses of the kernel at m={self.m}, y={self.y}, q={self.q} sum to {total}, not 1")
         return self
@@ -182,7 +171,7 @@ class ConditionalDistribution:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
-        """The kernel of a to_json_dict document, one atom per index of (m) (IndexSetError otherwise)."""
+        """The kernel of a to_json_dict document, as `qchain dist` prints: one atom per index of (m), else IndexSetError."""
         exact = doc["mode"] == "exact"
         scalar = (lambda text: parse_exact(str(text))) if exact else float
         m, ks = int(doc["m"]), sorted(entry["k"] for entry in doc["atoms"])
@@ -262,12 +251,12 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
             where = f"at state y={y} (m={m}, q={q}){_first_out(m, i, lift)}"
             raise DegenerateSupport(f"support leaves the double range {where}") from exc
 
-        # support must consist of m distinct, finite points (strictly increasing in k)
-        for left, right in zip(values, values[1:]):
-            if not (left < right if exact else right - left > 1e-12 * max(1.0, abs(left), abs(right))):
-                cause = "points collide" if exact or all(map(math.isfinite, values)) else "leaves the double range"
-                where = f"at state y={y} (m={m}, q={q}){'' if exact else _first_out(m, i, lift)}"
-                raise DegenerateSupport(f"support {cause} {where}")
+        # a float support must be m distinct, finite points (strictly increasing in k); an exact one is, as
+        # chi_k = y cosh(k a) + r sinh(k a) rises in k for a = ln sqrt(q) > 0 and r > |y| (_lift_state)
+        for left, right in zip(values, values[1:]) if not exact else []:
+            if not right - left > 1e-12 * max(1.0, abs(left), abs(right)):
+                cause = "points collide" if all(map(math.isfinite, values)) else "leaves the double range"
+                raise DegenerateSupport(f"support {cause} at state y={y} (m={m}, q={q}){_first_out(m, i, lift)}")
 
         atoms = {}
         if exact:  # each mass from its row entry and factors at once: one reduction
@@ -304,9 +293,9 @@ def _first_out(m: int, i: int, lift) -> str:
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):
     """sum_k mass_k H_j(value_k | q) - q^{-j(m-1)/2} H_j(y | q).
 
-    Zero (identically, in exact mode) for j = 1..m-1; j >= m is allowed as
-    a diagnostic and is generally nonzero.
-    """
+    Zero (identically, in exact mode) for j = 1..m-1; j >= m is allowed as a diagnostic
+    and is generally nonzero.  The paper's moment law, one residual per j, for any kernel: built,
+    composed or loaded."""
     if j < 1:
         raise ValueError(f"moment order j must be >= 1, got {j}")
     rho = scalar_sqrt(dist.q) ** (1 - dist.m)
@@ -386,7 +375,7 @@ def verify_chapman_kolmogorov(m: int, n: int, y, q, mode: str | None = None) -> 
         q, y = float(q), float(y)
     exact = _is_exact(q, y)  # the kernels' lane: a float y makes float kernels
     if mode == "exact" and not exact:
-        raise ValueError("exact mode needs rational q and y")
+        raise ValueError(f"exact mode needs rational q and y, got q = {q}, y = {y}")
     mode = "exact" if exact else "float"
     report = VerificationReport("chapman-kolmogorov", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": mode})
     # (label, steps k of the outer kernel, order of the kernel composed after it)
@@ -459,11 +448,8 @@ class Trajectory:
 
 def _draw_table(dist: ConditionalDistribution) -> tuple[list[float], list[int]]:
     """The float CDF of `dist` over its atoms in ascending index order, with those indices."""
-    cdf, acc, ks = [], 0.0, dist.indices()
-    for k in ks:
-        acc += float(dist.atoms[k].mass)
-        cdf.append(acc)
-    return cdf, ks
+    ks = dist.indices()
+    return list(accumulate(float(dist.atoms[k].mass) for k in ks)), ks
 
 
 def _draw(table: tuple[list[float], list[int]], rng: random.Random) -> int:
@@ -474,8 +460,8 @@ def _draw(table: tuple[list[float], list[int]], rng: random.Random) -> int:
 
 
 def sample_step(dist: ConditionalDistribution, rng: random.Random):
-    """Draw the next state from `dist` (see _draw), refusing a kernel
-    whose masses are not a probability vector (check_masses)."""
+    """Draw the next state from `dist` (see _draw), refusing a kernel whose masses are not a
+    probability vector (check_masses): one step from any kernel, loaded or edited ones too."""
     return dist.check_masses().atoms[_draw(_draw_table(dist), rng)].value
 
 
@@ -526,7 +512,7 @@ class MomentCheckReport:
     j: int
     lag: int
     groups: list[MomentGroupStats] = field(default_factory=list)
-    threshold: float = 4.0
+    threshold: ClassVar[float] = 4.0  # the |z| bound every group must meet
 
     @property
     def max_abs_z(self) -> float:
@@ -537,10 +523,9 @@ class MomentCheckReport:
         return self.max_abs_z <= self.threshold
 
     def to_json_dict(self) -> dict:
-        """The fields, then the verdict, with the groups last."""
-        doc = asdict(self)
-        groups = doc.pop("groups")
-        return {**doc, "max_abs_z": self.max_abs_z, "passed": self.passed, "groups": groups}
+        """j, lag and the threshold, then the verdict, with the groups last."""
+        verdict = {"threshold": self.threshold, "max_abs_z": self.max_abs_z, "passed": self.passed}
+        return {"j": self.j, "lag": self.lag, **verdict, "groups": [asdict(group) for group in self.groups]}
 
 
 def empirical_conditional_moment(
@@ -549,7 +534,7 @@ def empirical_conditional_moment(
     lag: int = 1,
     min_samples: int = 100,
 ) -> MomentCheckReport:
-    """Regression check of the conditional moment law on simulated paths:
+    """Regression check of the paper's conditional moment law on simulate's paths:
     grouped by source state, the empirical mean of H_j at the lag-step
     destination is compared against rho^{lag*j} H_j(source), with z-scores
     using the lag-step kernel's variance.  simulate records each state as
@@ -568,8 +553,8 @@ def empirical_conditional_moment(
 
     groups: dict[float, list[float]] = {}
     for traj in trajectories:
-        if (traj.config.q, traj.config.m) != (config.q, config.m):
-            raise ValueError("trajectories mix incompatible configs")
+        if (pair := (traj.config.q, traj.config.m)) != (config.q, config.m):
+            raise ValueError(f"trajectories mix incompatible configs: (q, m) = {(config.q, config.m)} and {pair}")
         for s in range(len(traj.states) - lag):
             groups.setdefault(traj.states[s], []).append(traj.states[s + lag])
 

@@ -64,14 +64,14 @@ def q_bracket(n: int, q):
     The summation form keeps q = 1 first-class (no division by 1-q).
     """
     if n < 0:
-        raise ValueError("q_bracket needs n >= 0")
+        raise ValueError(f"q_bracket needs n >= 0, got n = {n}")
     return _q_table(n + 1, q)[n][2]
 
 
 def q_factorial(n: int, q):
-    """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0."""
+    """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0: the q-factorial of the paper's q-binomials."""
     if n < 0:
-        raise ValueError("q_factorial needs n >= 0")
+        raise ValueError(f"q_factorial needs n >= 0, got n = {n}")
     return reduce(operator.mul, (bracket for _, _, bracket in _q_table(n + 1, q)[1:]), 1)
 
 
@@ -99,14 +99,14 @@ def _q_pascal_row(n: int, q) -> list:
 def q_binomial(n: int, k: int, q):
     """Gaussian binomial [n choose k]_q, an entry of _q_binomial_row; 0 when k > n."""
     if k < 0:
-        raise ValueError("q_binomial needs k >= 0")
+        raise ValueError(f"q_binomial needs k >= 0, got k = {k}")
     return _q_binomial_row(n, q)[k] if k <= n else 0
 
 
 def q_pochhammer(a, q, n: int):
     """(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i); supports complex a."""
     if n < 0:
-        raise ValueError("q_pochhammer needs n >= 0")
+        raise ValueError(f"q_pochhammer needs n >= 0, got n = {n}")
     out = 1
     for _, power, _ in _q_table(n, q):
         out = out * (1 - a * power)

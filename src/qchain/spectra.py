@@ -32,7 +32,6 @@ import cmath
 import functools
 import json
 import math
-import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -212,7 +211,7 @@ def _lift_state(y, q):
             return y, quad_sqrt(y * y + Fraction(4) / (q - 1)), sq, q
         except NotAPerfectSquare as exc:
             raise NotRepresentable(
-                f"sqrt({y}^2 + 4/(q-1)) leaves Q(sqrt({y.D}))"
+                f"sqrt(({y})^2 + 4/(q-1)) at q = {q} leaves Q(sqrt({y.D}))"
             ) from exc
     y = Fraction(y)
     return y, QuadraticNumber(0, 1, y * y + Fraction(4) / (q - 1)), sq, q
@@ -275,22 +274,22 @@ def _quadratic_factor(name: str, n: int, x, y, q, divisor):
     """x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) + (q^n + q^{-n} - 2)/divisor(q)
     for n >= 1 and x + y for n = 0: v_factor and t_factor differ in divisor."""
     if n < 0:
-        raise ValueError(f"{name} needs n >= 0")
+        raise ValueError(f"{name} needs n >= 0, got n = {n}")
     q = _normalize_q(q)
     if n and divisor(q) == 0:
-        raise ValueError(f"{name} needs q != 1 for n >= 1")
+        raise ValueError(f"{name} needs q != 1 for n >= 1, got q = {q}")
     return _product(x, y, x * x + y * y, _factor_terms([n], q, divisor(q)))
 
 
 def v_factor(n: int, x, y, q):
-    """Quadratic factor v_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
-    - (q^n + q^{-n} - 2)/(q - 1) for n >= 1; v_0 = x + y."""
+    """Quadratic factor v_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) - (q^n + q^{-n} - 2)/(q - 1)
+    for n >= 1, v_0 = x + y: one of the paper's factors of p_m, which eval_product_form multiplies."""
     return _quadratic_factor("v_factor", n, x, y, q, lambda q: 1 - q)
 
 
 def t_factor(n: int, x, y, q):
-    """Companion factor t_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2})
-    + (q^n + q^{-n} - 2)/4 for n >= 1; t_0 = x + y."""
+    """Companion factor t_n(x,y,q) = x^2 + y^2 + xy (q^{n/2} + q^{-n/2}) + (q^n + q^{-n} - 2)/4
+    for n >= 1, t_0 = x + y: one factor of side (c) of the paper's addition formula."""
     return _quadratic_factor("t_factor", n, x, y, q, lambda q: 4)
 
 
@@ -299,9 +298,9 @@ def eval_sum_form(m: int, x, y, q):
 
         sum_k qbinom(m,k) q^{-(m-1)(m-k)/2} B_{m-k}(y|q) H_k(x|q),
 
-    i.e. the expansion route to p_m(x | y, q^{-(m-1)/2}, q)."""
+    i.e. the expansion route to p_m(x | y, q^{-(m-1)/2}, q): the paper's sum side, at one point."""
     if m < 0:
-        raise ValueError("eval_sum_form needs m >= 0")
+        raise ValueError(f"eval_sum_form needs m >= 0, got m = {m}")
     q = _normalize_q(q)
     return eval_p_expansion(m, x, y, scalar_sqrt(q) ** (-(m - 1)) if m >= 1 else 1, q)
 
@@ -309,9 +308,9 @@ def eval_sum_form(m: int, x, y, q):
 def _product_terms(m: int, q) -> list:
     """_factor_terms of the v-factors of the degree-m product."""
     if m < 1:
-        raise ValueError("eval_product_form needs m >= 1")
+        raise ValueError(f"eval_product_form needs m >= 1, got m = {m}")
     if q == 1:
-        raise ValueError("eval_product_form needs q != 1")
+        raise ValueError(f"eval_product_form needs q != 1, got q = {q}")
     return _factor_terms(_factor_degrees(m), q, 1 - q)
 
 
@@ -319,7 +318,7 @@ def eval_product_form(m: int, x, y, q):
     """The factorized route to p_m(x | y, q^{-(m-1)/2}, q):
 
         prod_{j=1..i} v_{2j-1}(x,-y,q)   for m = 2i,
-        prod_{j=0..i} v_{2j}(x,-y,q)     for m = 2i+1.
+        prod_{j=0..i} v_{2j}(x,-y,q)     for m = 2i+1:  the paper's product side, at one point.
     """
     return _product(x, -y, x * x + y * y, _product_terms(m, _normalize_q(q)))
 
@@ -425,7 +424,7 @@ def verify_addition_formula(
     import mpmath  # the package's one use of mpmath: no other command loads it
 
     if n < 1:
-        raise ValueError("verify_addition_formula needs n >= 1")
+        raise ValueError(f"verify_addition_formula needs n >= 1, got n = {n}")
     q = _float_q(q, theta=theta, phi=phi)
     report = VerificationReport("addition-formula", {"n": n, "theta": theta, "phi": phi, "q": q}, points_checked=3)
     with mpmath.mp.workdps(dps):
@@ -553,9 +552,3 @@ def hermite_limit_identity(m: int, x, y) -> VerificationReport:
     report = VerificationReport("hermite-limit", {"m": m, "x": str(x), "y": str(y)})
     _check(report, True, [(total, expected)], 0.0, {"sum": total, "(x-y)^m": expected})
     return report
-
-
-def random_angle_pairs(count: int, seed: int) -> list[tuple[float, float]]:
-    """Deterministic (theta, phi) samples in (0, pi)^2 for the addition check."""
-    rng = random.Random(seed)
-    return [(rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)) for _ in range(count)]

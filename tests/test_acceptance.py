@@ -30,7 +30,6 @@ from qchain.markov import (
 )
 from qchain.spectra import (
     hermite_limit_identity,
-    random_angle_pairs,
     rational_grid,
     verify_addition_formula,
     verify_chi_properties,
@@ -95,7 +94,8 @@ def test_criterion_4_root_composition_identities():
 
 def test_criterion_5_addition_formula():
     started = time.perf_counter()
-    pairs = random_angle_pairs(50, seed=20260810)
+    rng = random.Random(20260810)  # 50 seeded (theta, phi) in (0, pi)^2
+    pairs = [(rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)) for _ in range(50)]
     worst = 0.0
     for q in (0.3, 0.7, 2.5):
         for n in range(1, 11):
@@ -122,8 +122,8 @@ def test_criterion_7_monte_carlo_kernel_consistency():
     draws = 100_000
     rng = random.Random(42)
     kernel = build_distribution(2, 1.0, 4.0)
-    lam_plus = kernel.mass(1)
-    chi_plus = kernel.value(1)
+    lam_plus = kernel.atoms[1].mass
+    chi_plus = kernel.atoms[1].value
 
     firsts = [sample_step(kernel, rng) for _ in range(draws)]
     hits_plus = sum(1 for v in firsts if v == chi_plus)

@@ -299,6 +299,32 @@ class TestParser:
             cli.main(["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "separate, joined, want",
+        [
+            ("eval p 3 --x -1/3 --y -2/5 --rho -1/2 --q -3/2", "eval p 3 --x=-1/3 --y=-2/5 --rho=-1/2 --q=-3/2", 0),
+            ("eval H 2 --x -.5 --q -1e-3 --mode float", "eval H 2 --x=-.5 --q=-1e-3 --mode float", 0),
+            ("dist --m 3 --y -3/7 --q 4", "dist --m 3 --y=-3/7 --q 4", 0),
+            ("simulate --m 2 --y -1/2 --q 4 --steps 5", "simulate --m 2 --y=-1/2 --q 4 --steps 5", 0),
+            ("simulate --m 2 --y 1 --q 4 --steps 3 --max-state -1e5", "simulate --m 2 --y 1 --q 4 --steps 3 --max-state=-1e5", 3),
+            ("verify chi --m 2 --n -1 --y -5/2 --q 9/4", "verify chi --m 2 --n -1 --y=-5/2 --q 9/4", 0),
+            ("verify factorization --m 2 --q -1/4", "verify factorization --m 2 --q=-1/4", 3),
+            ("verify addition --n 4 --theta -1e-3 --phi 0.4 --q 16", "verify addition --n 4 --theta=-1e-3 --phi 0.4 --q 16", 0),
+        ],
+    )
+    def test_a_separate_negative_value_parses_as_the_equals_form(self, capsys, separate, joined, want):
+        # argparse alone reads -1/4, -.5 or -1e-3 after a flag as an option and exits 2
+        code, out, err = run(capsys, *separate.split())
+        assert (code, out, err) == run(capsys, *joined.split()) and code == want, err
+
+    @pytest.mark.parametrize(
+        "argv", ["dist --m 3 --q 4 --y", "dist --m 3 --y --q 4", "eval p 3 --x 1 --y 1 --rho --q 4", "dist --m 3 --y -a --q 4"]
+    )
+    def test_a_flag_without_its_value_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
 
 IMPORT_SET = """
 import contextlib, io, sys

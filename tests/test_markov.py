@@ -54,22 +54,22 @@ class TestBuildDistribution:
         rho = Fraction(1, 2)
         plus, minus = chi(1, Y1, Q4), chi(-1, Y1, Q4)
         lam_plus = (rho * Y1 - minus) / (plus - minus)
-        assert dist.mass(1) == lam_plus
-        assert dist.mass(-1) == 1 - lam_plus
-        assert dist.value(1) == plus
-        assert dist.value(-1) == minus
+        assert dist.atoms[1].mass == lam_plus
+        assert dist.atoms[-1].mass == 1 - lam_plus
+        assert dist.atoms[1].value == plus
+        assert dist.atoms[-1].value == minus
 
     def test_two_point_float_frozen(self):
         dist = build_distribution(2, 1.0, 4.0)
-        assert dist.mass(1) == pytest.approx(0.17267316464601146, abs=1e-12)
-        assert dist.mass(-1) == pytest.approx(0.8273268353539885, abs=1e-12)
-        assert dist.value(1) == pytest.approx(2.3956439237389597)
-        assert dist.value(-1) == pytest.approx(0.10435607626104004)
+        assert dist.atoms[1].mass == pytest.approx(0.17267316464601146, abs=1e-12)
+        assert dist.atoms[-1].mass == pytest.approx(0.8273268353539885, abs=1e-12)
+        assert dist.atoms[1].value == pytest.approx(2.3956439237389597)
+        assert dist.atoms[-1].value == pytest.approx(0.10435607626104004)
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_mass_normalization_exact(self, m):
         dist = build_distribution(m, Fraction(-3, 7), Fraction(9, 4))
-        assert dist.mass_total() == 1
+        assert sum(atom.mass for atom in dist.atoms.values()) == 1
 
     def test_support_indices(self):
         dist = build_distribution(4, Y1, Q4)
@@ -88,7 +88,7 @@ class TestBuildDistribution:
 
     def test_strict_accepts_clean_kernels(self):
         dist = build_distribution(3, Y1, Q4, strict=True)
-        assert dist.negative_atoms() == []
+        assert all(atom.mass >= 0 for atom in dist.atoms.values())
 
     def test_exact_atoms_live_in_one_field(self):
         dist = build_distribution(3, Y1, Q4)
@@ -105,8 +105,8 @@ class TestBuildDistribution:
                 exact = build_distribution(m, y, q)
                 approx = build_distribution(m, float(y), float(q))
                 for k in exact.indices():
-                    ref = float(exact.mass(k))
-                    assert abs(approx.mass(k) - ref) <= 1e-12 * ref, (m, y, k)
+                    ref = float(exact.atoms[k].mass)
+                    assert abs(approx.atoms[k].mass - ref) <= 1e-12 * ref, (m, y, k)
 
     @pytest.mark.parametrize("q", [Fraction(9, 4), Q4, Fraction(16)])
     def test_float_masses_match_rounded_exact_masses_at_large_states(self, q):
@@ -119,16 +119,16 @@ class TestBuildDistribution:
                 exact = build_distribution(m, Fraction(y), q)
                 approx = build_distribution(m, y, float(q))
                 for k in exact.indices():
-                    ref = float(exact.mass(k))
+                    ref = float(exact.atoms[k].mass)
                     if ref >= 1e-290:
-                        assert abs(approx.mass(k) - ref) <= 1e-12 * ref, (m, y, k)
+                        assert abs(approx.atoms[k].mass - ref) <= 1e-12 * ref, (m, y, k)
 
     @pytest.mark.parametrize("q", [2.25, 4.0, 16.0])
     def test_float_masses_stay_normalized_until_chi_overflows(self, q):
         # z = e^{2 theta} overflows near |y| = 1e153 while chi does not
         for m in (2, 3, 4, 8, 12, 16):
             for y in [sign * 10.0**e for e in range(0, 154, 3) for sign in (1, -1)] + [1e153, -1e153]:
-                masses = [build_distribution(m, y, q).mass(k) for k in index_set(m)]
+                masses = [build_distribution(m, y, q).atoms[k].mass for k in index_set(m)]
                 assert all(math.isfinite(lam) and lam >= 0 for lam in masses), (m, y)
                 assert abs(math.fsum(masses) - 1) <= 1e-12, (m, y)
 
@@ -197,9 +197,9 @@ class TestBuildDistribution:
                 for m in range(2, 25):
                     exact, approx = build_distribution(m, y, q), build_distribution(m, float(y), float(q))
                     for k in exact.indices():
-                        ref = float(exact.mass(k))
+                        ref = float(exact.atoms[k].mass)
                         if ref >= sys.float_info.min:
-                            assert abs(approx.mass(k) - ref) <= 2e-14 * ref, (m, q, y, k)
+                            assert abs(approx.atoms[k].mass - ref) <= 2e-14 * ref, (m, q, y, k)
 
     def test_exact_lane_is_pinned(self):
         # sha256 of the concatenated exact kernel JSON: any change to an
@@ -449,7 +449,7 @@ class TestComposition:
         unchecked = compose(dist, 2, check=False)
         direct = build_distribution(4, Y1, Q4)
         assert unchecked.atoms != direct.atoms
-        assert all(float(a.mass) == float(direct.mass(k)) for k, a in unchecked.atoms.items())
+        assert all(float(a.mass) == float(direct.atoms[k].mass) for k, a in unchecked.atoms.items())
         with pytest.raises(CompositionMismatch, match=r"^compose\(3,2\) outer kernel at y=1, q=4: .*'k': '-2'"):
             compose(dist, 2, check=True)
 
@@ -595,7 +595,7 @@ class TestSampling:
         for t in range(1, 7):
             base = build_distribution(2, state, q)
             forced = ConditionalDistribution(
-                m=2, y=state, q=q, atoms={-1: Atom(base.value(-1), 0.0), 1: Atom(base.value(1), 1.0)}
+                m=2, y=state, q=q, atoms={-1: Atom(base.atoms[-1].value, 0.0), 1: Atom(base.atoms[1].value, 1.0)}
             )
             state = sample_step(forced, rng)
             assert state == pytest.approx(float(chi(t, 1.0, 4.0)), rel=1e-12)
@@ -630,14 +630,14 @@ class TestSampling:
         # an atom is drawn where u < its CDF, not u <= it: u at exactly the
         # first atom's mass draws the second atom
         dist = build_distribution(3, 0.7, 4.0)
-        first = float(dist.mass(-2))
+        first = float(dist.atoms[-2].mass)
 
         class TieRandom(random.Random):
             def random(self):
                 return first
 
         assert 0.0 < first < 1.0
-        assert sample_step(dist, TieRandom()) == dist.value(0)
+        assert sample_step(dist, TieRandom()) == dist.atoms[0].value
 
 
 class TestSimulate:
@@ -667,7 +667,7 @@ class TestSimulate:
         # itself, which already exceeds max_state
         cfg = ChainConfig(q=4.0, m=3, initial_y=5.0, steps=10, seed=2, max_state=4.0)
         start = build_distribution(3, 5.0, 4.0)
-        assert start.mass(-2) <= random.Random(2).random() < start.mass(-2) + start.mass(0)
+        assert start.atoms[-2].mass <= random.Random(2).random() < start.atoms[-2].mass + start.atoms[0].mass
         with pytest.raises(StateOverflow, match=r"^\|state\| = 5 exceeded bound 4 at step 1$"):
             simulate(cfg)
 
@@ -916,7 +916,7 @@ class TestSerialization:
         base = build_distribution(4, 1.0, 4.0)
         masses = dict(zip(base.indices(), (math.nan, math.inf, -math.inf, -0.0)))
         edited = ConditionalDistribution(
-            m=4, y=1.0, q=4.0, atoms={k: Atom(base.value(k), mass) for k, mass in masses.items()}
+            m=4, y=1.0, q=4.0, atoms={k: Atom(base.atoms[k].value, mass) for k, mass in masses.items()}
         )
         empty = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={})
         for dist in (edited, empty):
@@ -955,7 +955,7 @@ class TestKernelValidity:
     def test_exact_masses_must_sum_to_exactly_one(self):
         built = build_distribution(3, Y1, Q4, strict=True)
         short = ConditionalDistribution(
-            m=3, y=Y1, q=Q4, atoms={**built.atoms, 2: Atom(built.value(2), built.mass(2) - Fraction(1, 10**30))}
+            m=3, y=Y1, q=Q4, atoms={**built.atoms, 2: Atom(built.atoms[2].value, built.atoms[2].mass - Fraction(1, 10**30))}
         )
         with pytest.raises(InvalidKernel):
             short.check_masses()
@@ -964,4 +964,5 @@ class TestKernelValidity:
     def test_built_float_kernels_pass(self, q):
         for m in range(2, 17):
             for y in (0.0, -3.5, 1e50, -1e153):
-                assert build_distribution(m, y, q, strict=True).mass_total() == pytest.approx(1.0, abs=1e-12)
+                atoms = build_distribution(m, y, q, strict=True).atoms.values()
+                assert sum(atom.mass for atom in atoms) == pytest.approx(1.0, abs=1e-12)

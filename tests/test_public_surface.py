@@ -2,6 +2,7 @@
 __all__, and the eval/verify parsers list the flags their verb rows need."""
 
 import argparse
+import dataclasses
 import inspect
 
 import pytest
@@ -33,6 +34,12 @@ def test_no_helper_or_knob_that_only_tests_called():
     for name in ("index_sumset", "chi_radical"):
         assert not hasattr(qchain, name) and not hasattr(spectra, name), name
     assert not hasattr(markov.ConditionalDistribution, "max_deviation")
+    # a kernel is read through its atoms, and a report's z bound is a constant, not a field
+    for name in ("value", "mass", "mass_total", "negative_atoms"):
+        assert not hasattr(markov.ConditionalDistribution, name), name
+    assert not hasattr(exactnum.QuadraticNumber, "conjugate")
+    assert not hasattr(spectra, "random_angle_pairs")
+    assert [field.name for field in dataclasses.fields(markov.MomentCheckReport)] == ["j", "lag", "groups"]
 
 
 def _options(parser):

@@ -115,7 +115,7 @@ class TestChi:
     def test_float_state_puts_a_rational_q_in_the_float_lane(self):
         # q = 2 is no rational square, but a float state takes q as a float,
         # the lane the kernel at that state already runs in
-        assert chi(1, 1.0, Fraction(2)) == build_distribution(2, 1.0, Fraction(2)).value(1)
+        assert chi(1, 1.0, Fraction(2)) == build_distribution(2, 1.0, Fraction(2)).atoms[1].value
         assert radical(1.0, Fraction(2)) == math.sqrt(5.0)
 
     def test_not_representable(self):
@@ -133,6 +133,17 @@ class TestChi:
         for y in (0.0, 1.0, -1.3):
             values = [float(chi(k, y, 4.0)) for k in range(-6, 7)]
             assert all(a < b for a, b in zip(values, values[1:]))
+        # exact states, compared exactly: chi_k = y cosh(k a) + r sinh(k a) with a = ln sqrt(q) > 0 and
+        # r = sqrt(y^2 + 4/(q-1)) > |y| rises in k, which is why kernels skip an exact support check
+        rationals = [Fraction(0), Fraction(1), Fraction(-137, 23), Fraction(5, 2)]
+        states = [(y, q) for q in (Fraction(4), Fraction(9, 4), Fraction(16)) for y in rationals]
+        states.append((chi(1, 1, 4), Fraction(4)))  # a QuadraticNumber state in Q(sqrt(7/3))
+        for y, q in states:
+            values = [chi(k, y, q) for k in range(-12, 13)]
+            assert all(a < b for a, b in zip(values, values[1:])), (y, q)
+            for m in range(2, 13):
+                support = [atom.value for _, atom in sorted(build_distribution(m, y, q).atoms.items())]
+                assert all(a < b for a, b in zip(support, support[1:])), (y, q, m)
 
     def test_roots_of_v(self):
         y, q = Fraction(1), Fraction(4)
@@ -416,7 +427,7 @@ class TestChiProperties:
             inner, outer = build_distribution(n, y, q), build_distribution(n + 2, y, q)
             assert set(inner.indices()) < set(outer.indices())
             for k in inner.indices():
-                assert inner.value(k) == outer.value(k) == chi(k, y, q)
+                assert inner.atoms[k].value == outer.atoms[k].value == chi(k, y, q)
 
 
 class TestHermiteLimit:
