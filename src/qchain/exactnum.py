@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -202,14 +203,12 @@ class QuadraticNumber:
 
 
 def _quad_product(start, factors: list) -> QuadraticNumber:
-    """start * prod(factors): an int, Fraction or QuadraticNumber start times a non-empty list
-    of QuadraticNumbers, all of one field (else DiscriminantMismatch), reduced by one gcd."""
+    """start * prod(factors), reduced by one gcd: an int, Fraction or QuadraticNumber start times a non-empty
+    list of QuadraticNumbers, all of one field.  Unchecked: each is read in the first one's field."""
     if type(start) is QuadraticNumber:
         start, factors = 1, [start, *factors]
     (A, B, C), F = (start.numerator, 0, start.denominator), factors[0]._F
     for f in factors:
-        if f._F is not F and f._F[:2] != F[:2]:
-            raise DiscriminantMismatch(f"sqrt({F[2]}) vs sqrt({f.D})")
         A, B, C = A * f._A + B * f._B * F[0], A * f._B + B * f._A, C * f._C
     return QuadraticNumber(A, B, (C, F))
 
@@ -348,24 +347,15 @@ def format_scalar(v) -> str:
     return repr(v)
 
 
+_QUAD_LITERAL = re.compile(r"(?:(R) ([+-]) )?(R)\*sqrt\((R)\)".replace("R", r"-?\d+(?:/\d+)?"))  # R: a str(Fraction)
+
+
 def parse_exact(s: str):
-    """Parse "p/q" into a Fraction or "a + b*sqrt(D)" into a QuadraticNumber, as from_json_dict reads them."""
+    """Parse "p/q" into a Fraction or format_scalar's "[a +- ]b*sqrt(D)" into a QuadraticNumber (from_json_dict)."""
     s = s.strip()
     if "sqrt" not in s:
         return Fraction(s)
-    head, _, tail = s.partition("sqrt")
-    tail = tail.strip()
-    if not (tail.startswith("(") and tail.endswith(")")):
+    if not (match := _QUAD_LITERAL.fullmatch(s)):
         raise ValueError(f"malformed quadratic literal: {s!r}")
-    D = Fraction(tail[1:-1])
-    head = head.strip()
-    if not head.endswith("*"):
-        raise ValueError(f"malformed quadratic literal: {s!r}")
-    head = head[:-1].rstrip()
-    # split "a + b" / "a - b" on the last top-level sign
-    for i in range(len(head) - 1, 0, -1):
-        if head[i] in "+-" and head[i - 1] == " ":
-            a = Fraction(head[:i].strip())
-            b = Fraction(head[i:].replace(" ", ""))
-            return QuadraticNumber(a, b, D)
-    return QuadraticNumber(0, Fraction(head), D)
+    a, sign, b, D = match.groups()
+    return QuadraticNumber(Fraction(a or 0), Fraction(b) * (-1 if sign == "-" else 1), Fraction(D))

@@ -13,11 +13,11 @@ with j = (m-1-k)/2,
                                   prod_{i in (m), i>k} 1 / (1 + z^{-1} q^{-(k+i)/2}).
 
 (k+i)/2 is an integer and every factor lies in (0, 1], so no mass is
-negative and nothing cancels: the exact lane stays in Q(sqrt(D)).  A float
-mass whose exact value is a normal double is within 2e-14 relative of it
-for m = 2..24, q in {9/4, 4, 16, 100}, y in {0, 5/2, -1000, 1/3} (5.4e-15
-measured; 1e-12 for |y| up to 1e100); below 2.2e-308 masses become 0.0 or
-lose relative accuracy, there first at m = 19 (q = 16) and 16 (q = 100).
+negative and nothing cancels: the exact lane stays in Q(sqrt(D)), and a
+float mass whose exact value at the doubles q and y is a normal double is
+within c m 2^-53 relative of it, c = 19 or 19 + 1/ln q as _lattice_kernels
+derives; below 2.2e-308 masses become 0.0 or lose relative accuracy, there
+first at m = 19 (q = 16) and 16 (q = 100).
 A support past the double range (|y| from about 1.3e154, where y^2
 overflows, or q^{k/2} at large m) raises DegenerateSupport.  The masses
 satisfy the moment law
@@ -41,6 +41,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -139,14 +140,14 @@ class ConditionalDistribution:
         negatives = sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
         if negatives:
             raise NegativeMassError(negatives[0], self.atoms[negatives[0]].mass)
-        total = sum(atom.mass for atom in self.atoms.values())
+        total = functools.reduce(operator.add, (atom.mass for atom in self.atoms.values()), 0)
         if not (total == 1 if self.exact else abs(total - 1) <= 1e-12):
             raise InvalidKernel(f"masses of the kernel at m={self.m}, y={self.y}, q={self.q} sum to {total}, not 1")
         return self
 
     def kernel_moment(self, g) -> object:
-        """sum_k mass_k * g(value_k) for a scalar function g."""
-        return sum(atom.mass * g(atom.value) for atom in self.atoms.values())
+        """sum_k mass_k * g(value_k) for a scalar function g, a left fold as in check_masses: same bits on every Python."""
+        return functools.reduce(operator.add, (atom.mass * g(atom.value) for atom in self.atoms.values()), 0)
 
     # -- serialization ------------------------------------------------------
 
@@ -226,7 +227,12 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     chi_{i+k}(y0), k in (m), and with f_e = 1/(1 + z0 q^{i+e}) its masses are
     [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k} (1 - f_{(k+h)/2}).  The exact
     lane forms one reciprocal per e and one reduction per mass (exactnum._quad_product);
-    the float lane takes 1 - f_e as 1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel."""
+    the float lane takes 1 - f_e as 1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel.
+    Float masses, to first order in u = 2^-53: z0's roundings leave it within 11u, a factor within 16u (a pow within
+    2u, three roundings), m-1 factors and products 17(m-1)u and the q-Pascal row's m-2 steps 2(m-2)u: 19mu if 1/q is
+    a double.  Else a row entry's term x^a, from powers of the rounded x = 1/q, carries 2au more, and the x^a-weighted
+    mean of a over an entry is sum_{h<m/2} h x^h/(1-x^h) < m/(2 ln q) at most: (19 + 1/ln q)mu; 3mu measured to m = 65.
+    A q or y off the doubles adds an input term: q^(i+e) carries |i+e| times q's rounding (5.5mu at q = (49/48)^2)."""
     y0, radical, _, q = lift
     exact = _is_exact(q)
     if not exact:  # a float q or start puts the whole kernel in the float lane
@@ -319,15 +325,14 @@ def compose(dist: ConditionalDistribution, n: int, check: bool = True) -> Condit
     inner_at = _lattice_kernels(n, _lift_state(y, q))
     out = {}  # atoms by index i + j
     for i, outer in sorted(dist.atoms.items()):
-        for j, inner_atom in sorted(inner_at(i).atoms.items()):
+        for j, inner_atom in inner_at(i).atoms.items():  # built in ascending j
             k, mass = i + j, outer.mass * inner_atom.mass
             out[k] = Atom(inner_atom.value, out[k].mass + mass if k in out else mass)
 
     expected_support = index_set(m + n - 1)
-    if sorted(out) != expected_support:
+    if list(out) != expected_support:  # ascending i and j add each new k above the last, so out is in k order
         raise CompositionMismatch(f"composed support {sorted(out)} != ({m + n - 1}) = {expected_support}")
-    atoms = {k: out[k] for k in expected_support}
-    composed = ConditionalDistribution(m=m + n - 1, y=y, q=q, atoms=atoms)
+    composed = ConditionalDistribution(m=m + n - 1, y=y, q=q, atoms=out)
     for label, kernel in [(f"compose({m},{n}) outer kernel", dist), (f"compose({m},{n})", composed)] if check else []:
         try:
             _check_direct(VerificationReport("composition", {}), kernel, label)
@@ -344,7 +349,7 @@ def _check_direct(report: VerificationReport, kernel: ConditionalDistribution, s
     direct = build_distribution(kernel.m, kernel.y, kernel.q)
     if kernel.indices() != direct.indices():
         raise _fail(report, {"stage": stage, "indices": kernel.indices()})
-    for k, theirs in sorted(direct.atoms.items()):
+    for k, theirs in direct.atoms.items():  # built in ascending k
         mine = kernel.atoms[k]
         witness = {"stage": stage, "k": k, "value": mine.value, "mass": mine.mass}
         witness.update(direct_value=theirs.value, direct_mass=theirs.mass)
@@ -362,22 +367,19 @@ def k_step_distribution(m: int, k: int, y, q) -> ConditionalDistribution:
 
 
 def verify_chapman_kolmogorov(m: int, n: int, y, q, mode: str | None = None) -> VerificationReport:
-    """Check kernel consistency in two stages, both always run, each atom for
-    atom through _check_direct, the verdict of every identity verifier (exact
-    mode: identical; float mode: values within 1e-9 relative to max(1, |value|),
-    masses within 1e-9 absolute): "one-step", compose(kernel_m, n) ==
-    kernel_{m+n-1}; then "multi-step", the 2-step kernel composed with a
-    further order-m step == the 3-step kernel.
+    """Check kernel consistency in two stages, both always run, each atom for atom through _check_direct,
+    the verdict of every identity verifier (exact mode: identical; float mode: values within 1e-9 relative
+    to max(1, |value|), masses within 1e-9 absolute): "one-step", compose(kernel_m, n) == kernel_{m+n-1};
+    then "multi-step", the 2-step kernel composed with a further order-m step == the 3-step kernel.  q and
+    y set the mode, as for the kernels; `mode`, if given, must name it (ValueError otherwise).
     """
     if mode not in (None, "exact", "float"):
         raise ValueError(f"mode must be None, 'exact' or 'float', got {mode!r}")
-    if mode == "float":
-        q, y = float(q), float(y)
-    exact = _is_exact(q, y)  # the kernels' lane: a float y makes float kernels
-    if mode == "exact" and not exact:
-        raise ValueError(f"exact mode needs rational q and y, got q = {q}, y = {y}")
-    mode = "exact" if exact else "float"
-    report = VerificationReport("chapman-kolmogorov", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": mode})
+    lane = "exact" if _is_exact(q, y) else "float"  # the kernels' lane: a float y makes float kernels
+    if mode not in (None, lane):
+        need = "rational q and y" if mode == "exact" else "a float q or y"
+        raise ValueError(f"{mode} mode needs {need}, got q = {q}, y = {y}")
+    report = VerificationReport("chapman-kolmogorov", {"m": m, "n": n, "y": str(y), "q": str(q), "mode": lane})
     # (label, steps k of the outer kernel, order of the kernel composed after it)
     for label, k, inner in [("one-step", 1, n), ("multi-step", 2, m)]:
         _check_direct(report, compose(k_step_distribution(m, k, y, q), inner, check=False), label)

@@ -467,10 +467,10 @@ def verify_h_H_relation(m: int, x: float, q: float, rel_tol: float = 1e-8) -> Ve
     report = VerificationReport("h-H-relation", {"m": m, "x": x, "q": q})
     w = cmath.sqrt(1 - q + 0j)
     lhs = eval_h(m, x, q)
-    rhs = w**m * eval_H(m, 2 * x / w if m else 0j, q) if m else 1 + 0j
+    rhs = w**m * eval_H(m, 2 * x / w, q)
     u = cmath.sqrt(q - 1 + 0j)
     lhs2 = eval_H(m, x, q)
-    rhs2 = (-1j) ** m * eval_h(m, 1j * x * u / 2, q) / u**m if m else 1 + 0j
+    rhs2 = (-1j) ** m * eval_h(m, 1j * x * u / 2, q) / u**m
     witness = {"h_side": lhs, "scaled_H": rhs, "H_side": lhs2, "scaled_h": rhs2}
     for pair in ((lhs, rhs), (lhs2, rhs2)):
         _check(report, False, [pair], rel_tol, witness)
@@ -492,7 +492,7 @@ def verify_B_H_relation(n: int, y: float, q: float, rel_tol: float = 1e-8) -> Ve
     lhs = eval_B(n, y, q)
     rhs_H = 1j**n * math.sqrt(q) ** (n * (n - 2)) * eval_H(n, 1j * math.sqrt(q) * y, 1 / q)
     u = cmath.sqrt(q - 1 + 0j)
-    rhs_h = 1j**n * float(q) ** (n * (n - 1) // 2) * eval_h(n, 1j * y * u / 2, 1 / q) / u**n if n else 1 + 0j
+    rhs_h = 1j**n * float(q) ** (n * (n - 1) // 2) * eval_h(n, 1j * y * u / 2, 1 / q) / u**n
     witness = {"B": lhs, "via_H": rhs_H, "via_h": rhs_h}
     for pair in ((lhs, rhs_H), (lhs, rhs_h)):
         _check(report, False, [pair], rel_tol, witness)
@@ -510,7 +510,7 @@ def verify_chi_properties(
 
       (i)  chi_m(y,q)^2 + 4/(q-1) is the square of
            y (q^{m/2} - q^{-m/2})/2 + sqrt(y^2 + 4/(q-1)) (q^{m/2} + q^{-m/2})/2,
-           which the exact lane also re-extracts with quad_sqrt;
+           a positive root, as sqrt(y^2 + 4/(q-1)) > |y|;
       (ii) chi_m(chi_n(y,q), q) = chi_{m+n}(y,q).
 
     Index 0 is allowed (chi_0 is the identity map).  A float q^{k/2} past
@@ -527,8 +527,7 @@ def verify_chi_properties(
     root = (y * (qm - 1 / qm) + radical * (qm + 1 / qm)) / 2
     chi_m = _chi(m, *state)
     lhs = chi_m * chi_m + 4 / (q - 1)
-    pairs = [(root * root, lhs), (quad_sqrt(lhs), root)] if exact else [(lhs, root * root)]
-    _check(report, exact, pairs, rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
+    _check(report, exact, [(lhs, root * root)], rel_tol, {"property": "radical-square", "lhs": lhs, "root": root})
 
     witness = {"property": "composition", "chi_m(chi_n)": composed, "chi_{m+n}": direct}
     _check(report, exact, [(composed, direct)], rel_tol, witness)

@@ -453,12 +453,6 @@ class TestOneReduction:
                 folded, product = _quad_product(start, factors), math.prod(factors, start=start)
                 assert folded == product and str(folded) == str(product), (start, n)
 
-    def test_the_fold_refuses_a_second_field(self):
-        other = qn(1, 1, Fraction(5))
-        for start, factors in [(1, [qn(1, 1), other]), (Fraction(1, 2), [other, qn(2, 1)]), (qn(1, 1), [other])]:
-            with pytest.raises(DiscriminantMismatch):
-                _quad_product(start, factors)
-
     def test_text_is_the_text_of_its_fraction_parts(self):
         rng = random.Random(17)
         values = [qn(Fraction(-3, 4), Fraction(5, 6)), qn(Fraction(5, 2), Fraction(-7, 3)), qn(0, Fraction(2, 9))]

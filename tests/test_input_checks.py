@@ -64,6 +64,16 @@ def _paths(*ms):
             ValueError,
             "exact mode needs rational q and y, got q = 4, y = 1.0",
         ),
+        (
+            lambda: verify_chapman_kolmogorov(2, 2, 1, 4, mode="float"),
+            ValueError,
+            "float mode needs a float q or y, got q = 4, y = 1",
+        ),
+        (
+            lambda: verify_chapman_kolmogorov(2, 3, Fraction(2, 3), Fraction(9, 4), mode="float"),
+            ValueError,
+            "float mode needs a float q or y, got q = 9/4, y = 2/3",
+        ),
         (lambda: ChainConfig(q=4.0, m=1, initial_y=1.0, steps=3), ValueError, "transition order m must be >= 2, got 1"),
         (lambda: empirical_conditional_moment([], 1), InsufficientSamples, "no trajectories supplied"),
         (lambda: empirical_conditional_moment(_paths(2), 1, lag=0), ValueError, "lag must be >= 1, got 0"),

@@ -132,6 +132,21 @@ class TestBuildDistribution:
                 assert all(math.isfinite(lam) and lam >= 0 for lam in masses), (m, y)
                 assert abs(math.fsum(masses) - 1) <= 1e-12, (m, y)
 
+    @pytest.mark.parametrize(
+        "m, y, q, message",
+        [
+            (2, 1.0, 1 + 2**-52, "support points collide at state y=1.0 (m=2, q=1.0000000000000002)"),
+            (3, 1.0, 1 + 2**-52, "support points collide at state y=1.0 (m=3, q=1.0000000000000002)"),
+            (4, 1e10, 1 + 2**-50, "support points collide at state y=10000000000.0 (m=4, q=1.0000000000000009)"),
+        ],
+    )
+    def test_colliding_float_support_names_no_index_out(self, m, y, q, message):
+        # the points lie within 1e-12 relative of each other (sqrt(q) rounds to 1.0 at
+        # q = 1 + 2^-52, where each is y), all finite: the message names no index out
+        with pytest.raises(DegenerateSupport) as exc:
+            build_distribution(m, y, q)
+        assert str(exc.value) == message
+
     def test_degenerate_support_names_its_parameters(self):
         with pytest.raises(DegenerateSupport, match=r"y=1e\+200.*m=2.*q=4\.0"):
             build_distribution(2, 1e200, 4.0)
@@ -190,8 +205,8 @@ class TestBuildDistribution:
         assert str(exc.value).endswith(f"; the first out is {text}")
 
     def test_float_masses_hold_the_stated_bound(self):
-        # the module docstring's contract: every float mass whose exact value
-        # is a normal double lies within 2e-14 relative of it correctly rounded
+        # every float mass whose exact value is a normal double lies within 2e-14
+        # relative of it correctly rounded, y = 1/3 (not a double) included
         for q in (Fraction(9, 4), Q4, Fraction(16), Fraction(100)):
             for y in (Fraction(0), Fraction(5, 2), Fraction(-1000), Fraction(1, 3)):
                 for m in range(2, 25):
@@ -200,6 +215,31 @@ class TestBuildDistribution:
                         ref = float(exact.atoms[k].mass)
                         if ref >= sys.float_info.min:
                             assert abs(approx.atoms[k].mass - ref) <= 2e-14 * ref, (m, q, y, k)
+
+    @pytest.mark.parametrize(
+        "q, orders",
+        [
+            (Fraction(33, 32) ** 2, (2, 5, 17, 33)),
+            (Fraction(65, 64) ** 2, (2, 5, 17, 33)),
+            (Fraction(9, 4), (2, 5, 17, 65)),
+            (Q4, (2, 5, 17, 65)),
+            (Fraction(16), (2, 5, 17, 65)),
+            (Fraction(100), (2, 5, 17, 65)),
+        ],
+    )
+    def test_float_masses_hold_the_derived_bound(self, q, orders):
+        # the contract _lattice_kernels derives: at doubles q and y, a float mass whose exact
+        # value is a normal double lies within c m 2^-53 relative of it, c = 19 when 1/q is a
+        # double and 19 + 1/ln q otherwise; the error is taken exactly, before any rounding
+        assert float(q) == q
+        c = 19 if 1 / float(q) == 1 / q else 19 + 1 / math.log(q)
+        for m in orders:
+            for y in (Fraction(0), Y1, Fraction(5, 2), Fraction(-3, 8)):
+                exact, approx = build_distribution(m, y, q), build_distribution(m, float(y), float(q))
+                for k, atom in exact.atoms.items():
+                    if float(atom.mass) >= sys.float_info.min:
+                        error = abs(float((Fraction(approx.atoms[k].mass) - atom.mass) / atom.mass))
+                        assert error <= c * m * 2**-53, (m, y, k, error)
 
     def test_exact_lane_is_pinned(self):
         # sha256 of the concatenated exact kernel JSON: any change to an
@@ -233,6 +273,14 @@ class TestBuildDistribution:
         text = "".join(build_distribution(m, y, q).to_json() for q in (2.25, 4.0, 16.0) for y in ys for m in (2, 3, 4, 7))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "95477a7517fd35521a8f18e9c9778dae70560b0ec9dea226fb39f580035354b1"
+
+    def test_float_means_are_pinned(self):
+        # sha256 of seeded float kernel means: kernel_moment adds left to right, so these bits
+        # hold on every Python (sum() compensates float sums from Python 3.12 on)
+        rng = random.Random(3)
+        means = [build_distribution(8, rng.uniform(-10, 10), 16.0).kernel_moment(lambda v: v) for _ in range(2000)]
+        digest = hashlib.sha256(" ".join(map(repr, means)).encode()).hexdigest()
+        assert digest == "818008b35832be1d627ba1b4e6c9d2b507ceec26d85e5652b7393436272137dd"
 
     @pytest.mark.parametrize("m, y, q", [(3, 1.3, 4.0), (12, Fraction(-137, 23), Fraction(9, 4))])
     def test_state_is_lifted_once_per_kernel(self, m, y, q):
@@ -288,7 +336,7 @@ class TestLatticeKernels:
                         assert lattice.y == direct.y and lattice.atoms == direct.atoms, (q, y, m, i)
 
     def test_float_kernel_at_an_index_holds_the_stated_bound(self):
-        # the module docstring's 2e-14 relative bound for normal masses
+        # a lattice kernel and the direct build at its state agree within 2e-14 relative, values and normal masses
         for q in (2.25, 4.0, 16.0):
             for y in (1.0, -3 / 7, 2.5):
                 for m in range(2, 13):

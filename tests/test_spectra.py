@@ -374,6 +374,16 @@ class TestHermiteRelations:
     def test_trivial_degree(self):
         assert verify_h_H_relation(0, 0.4, 0.5).passed
 
+    @pytest.mark.parametrize("q", [0.5, 4.0])
+    @pytest.mark.parametrize("relation", [verify_h_H_relation, verify_B_H_relation])
+    def test_degree_zero_sides_are_exactly_one(self, relation, q):
+        # the general expressions give (1+0j) at degree 0, as the forced witness shows side by side
+        assert relation(0, 0.3, q).max_residual == 0.0
+        with pytest.raises(VerificationFailed) as failed:
+            relation(0, 0.3, q, rel_tol=-1.0)
+        sides = {key: value for key, value in failed.value.report.witness.items() if key != "residual"}
+        assert len(sides) in (3, 4) and all(repr(complex(side)) == "(1+0j)" for side in sides.values()), sides
+
     def test_below_one(self):
         report = verify_h_H_relation(3, 0.3, 0.5)
         assert report.passed and report.max_residual < 1e-8
