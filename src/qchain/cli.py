@@ -82,7 +82,7 @@ VERIFIERS = {
 
 # The type of each --flag a row may need, in the order the parsers list them.
 FLAGS = {"m": int, "n": int, "x": str, "y": str, "rho": str, "q": str, "theta": float, "phi": float}
-VALUE_FLAGS = {f"--{name}" for name in FLAGS} | {"--max-state"}  # --y and --q of dist and simulate too
+VALUE_FLAGS = {f"--{name}" for name in FLAGS}  # --y and --q of dist and simulate too
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
@@ -131,13 +131,12 @@ def cmd_simulate(args) -> int:
         initial_y=_scalar(args.y, "float"),
         steps=args.steps,
         seed=args.seed,
-        max_state=args.max_state,
     )
     trajectory = simulate(config)
     if args.out:
         trajectory.write_csv(args.out)
         trajectory.write_metadata(f"{args.out}.meta.json")
-        print(f"wrote {len(trajectory.states)} states to {args.out}")
+        print(f"wrote {len(trajectory.indices)} states to {args.out}")
     else:  # in 64 KiB writes: under an unbuffered stdout one write of it all ends quietly if the reader leaves
         text = trajectory.to_csv()
         sys.stdout.writelines(text[start : start + 65536] for start in range(0, len(text), 65536))
@@ -180,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--q", required=True)
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--seed", type=int, default=markov.DEFAULT_SEED)
-    ps.add_argument("--max-state", type=float, default=ChainConfig.max_state)
     ps.add_argument("--out", help="CSV path; metadata sidecar goes to OUT.meta.json")
     ps.set_defaults(func=cmd_simulate)
 

@@ -16,8 +16,18 @@ with j = (m-1-k)/2,
 negative and nothing cancels: the exact lane stays in Q(sqrt(D)), and a
 float mass whose exact value at the doubles q and y is a normal double is
 within c m 2^-53 relative of it, c = 19 or 19 + 1/ln q as _lattice_kernels
-derives; below 2.2e-308 masses become 0.0 or lose relative accuracy, there
-first at m = 19 (q = 16) and 16 (q = 100).
+derives.  Below 2^-1022 the bound is absolute: a product or quotient that
+lands there rounds on the subnormal grid, at most 2^-1075 off.  A mass takes
+m-1 products, each then scaled by factors <= 1, and m-1 factor quotients,
+each scaled by at most its q-Pascal entry b <= 1/(1/q; 1/q)_inf (1.08 at
+q = 16), so it is within c m 2^-53 M + (m-1)(1+b) 2^-1075 of its exact M:
+within (c+1+b) m 2^-1075 when M < 2^-1022.  A z q^{i+e} (or inverse) past the
+double range makes its factor 0.0, and the masses it enters are then 0.0
+against exact ones below b 2^-1024; but z0 itself overflows from |y0| about
+1.3e154/sqrt(q-1), and then a normal mass can read 0.0 too (7.1e-308 at
+m = 3, y = 4e153, q = 16).  On y in {0, 1, 5/2, -3/8, 7, -9} exact masses
+below 2^-1022 first appear at m = 22 (q = 16) and 18 (q = 100), 25 and 20 at
+y = 0; to 3 orders past that the worst is 10.9 x 2^-1075 off (m = 21, q = 100).
 A support past the double range (|y| from about 1.3e154, where y^2
 overflows, or q^{k/2} at large m) raises DegenerateSupport.  The masses
 satisfy the moment law
@@ -64,7 +74,6 @@ __all__ = [
     "InvalidKernel",
     "NegativeMassError",
     "CompositionMismatch",
-    "StateOverflow",
     "InsufficientSamples",
     "build_distribution",
     "conditional_moment_residual",
@@ -101,10 +110,6 @@ class NegativeMassError(InvalidKernel):
 
 class CompositionMismatch(ArithmeticError):
     """Composed kernel disagrees with the directly built one."""
-
-
-class StateOverflow(RuntimeError):
-    """A simulated state left the configured magnitude bound."""
 
 
 class InsufficientSamples(ValueError):
@@ -400,7 +405,6 @@ class ChainConfig:
     initial_y: float
     steps: int
     seed: int = DEFAULT_SEED
-    max_state: float = 1e100
 
     def __post_init__(self):
         for name in ("m", "steps", "seed"):
@@ -409,8 +413,6 @@ class ChainConfig:
             raise ValueError(f"simulation needs a finite q > 1, got {self.q}")
         if not math.isfinite(self.initial_y):
             raise ValueError(f"initial_y must be finite, got {self.initial_y}")
-        if not self.max_state > 0:
-            raise ValueError(f"max_state must be > 0, got {self.max_state}")
         if self.m < 2:
             raise ValueError(f"transition order m must be >= 2, got {self.m}")
         if self.steps < 0:
@@ -424,19 +426,31 @@ def _fmt_state(s: float) -> str:
 
 @dataclass
 class Trajectory:
-    """A sampled path X_0 .. X_T plus the config that produced it."""
+    """A sampled path as lattice indices i_0 = 0 .. i_T of y0 = config.initial_y, plus that config.
+    states are derived, not stored: state t is chi_{i_t}(y0) from y0's float lift, as simulate's
+    kernels read their support, and state 0 is float(y0) itself, so a -0.0 start keeps its sign."""
 
-    states: list[float]
+    indices: list[int]
     config: ChainConfig
 
+    def _state_of(self) -> dict[int, float]:
+        """chi_i(y0) at each visited index i."""
+        lift = _lift_state(float(self.config.initial_y), float(self.config.q))
+        return {i: _chi(i, *lift) for i in set(self.indices)}
+
+    @property
+    def states(self) -> list[float]:
+        state_of = self._state_of()
+        return [float(self.config.initial_y)] + [state_of[i] for i in self.indices[1:]]
+
     def to_csv(self) -> str:
-        """One "step,state" row per state, each distinct non-zero state
-        formatted once; a zero every time, so 0.0 and -0.0 keep their own text."""
-        text = {s: _fmt_state(s) for s in set(self.states) if s}  # a nan is found by identity
-        return "step,state\n" + "".join(f"{i},{text[s] if s else _fmt_state(s)}\n" for i, s in enumerate(self.states))
+        """One "step,state" row per state, each visited index's state formatted once."""
+        text = {i: _fmt_state(s) for i, s in self._state_of().items()}
+        rows = "".join(f"{t},{text[i]}\n" for t, i in enumerate(self.indices[1:], 1))
+        return f"step,state\n0,{_fmt_state(self.config.initial_y)}\n" + rows
 
     def metadata(self) -> dict:
-        return {**asdict(self.config), "states_recorded": len(self.states)}
+        return {**asdict(self.config), "states_recorded": len(self.indices)}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -471,26 +485,29 @@ def simulate(config: ChainConfig) -> Trajectory:
     """Run the chain from y0 = config.initial_y for config.steps transitions.
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
-    step draws k in (m) from the kernel at i and records that atom's own
-    support value chi_{i+k}(y0).  One _lattice_kernels builder on y0's lift
-    gives every kernel, so a state's float is a function of its index; a
-    functools.cache keeps each visited index's (_draw_table, atoms), built
-    once.  A recorded state beyond config.max_state, the start revisited
-    included, raises StateOverflow rather than continuing with overflowing floats.
+    step draws k in (m) from the kernel at i and moves to i + k.  One
+    _lattice_kernels builder on y0's lift gives every kernel, and a
+    functools.cache keeps each visited index's _draw_table, built once.
+    The Trajectory records the indices alone.
+
+    How far a float path can move from its start: _chi's conjugate branch
+    squares q^{k/2} - q^{-k/2}, which leaves the double range from |k| =
+    1024/log2(q) (256 at q = 16) even where chi_k itself is moderate, and
+    the kernel whose support first reaches such a point raises
+    DegenerateSupport naming it.  A large start drifts towards 0, i.e. to
+    index about -log|y0| / log sqrt(q): from y0 = 1e150 at m = 4, q = 16 it
+    stops at i = -253, its support point i - 3 out.  At m = 4 and the default
+    seed, starts 10^e ran 20,000 steps for e <= 149 (q = 16) and 151 (q = 4).
     """
     rng = random.Random(config.seed)
-    q, y0 = float(config.q), float(config.initial_y)
-    kernel_at = _lattice_kernels(config.m, _lift_state(y0, q))  # built here: drawn without check_masses
-    step_at = functools.cache(lambda i: (_draw_table(kernel := kernel_at(i)), kernel.atoms))
-    index, states = 0, [y0]
-    for step in range(config.steps):
-        table, atoms = step_at(index)
-        k = _draw(table, rng)
-        index, state = index + k, atoms[k].value
-        if abs(state) > config.max_state:
-            raise StateOverflow(f"|state| = {abs(state):.6g} exceeded bound {config.max_state:.6g} at step {step + 1}")
-        states.append(state)
-    return Trajectory(states=states, config=config)
+    lift = _lift_state(float(config.initial_y), float(config.q))  # as Trajectory reads the states
+    kernel_at = _lattice_kernels(config.m, lift)  # built here: drawn without check_masses
+    table_at = functools.cache(lambda i: _draw_table(kernel_at(i)))
+    index, indices = 0, [0]
+    for _ in range(config.steps):
+        index += _draw(table_at(index), rng)
+        indices.append(index)
+    return Trajectory(indices=indices, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +554,12 @@ def empirical_conditional_moment(
     min_samples: int = 100,
 ) -> MomentCheckReport:
     """Regression check of the paper's conditional moment law on simulate's paths:
-    grouped by source state, the empirical mean of H_j at the lag-step
-    destination is compared against rho^{lag*j} H_j(source), with z-scores
-    using the lag-step kernel's variance.  simulate records each state as
-    a function of its lattice index, so each lattice source is one group,
-    whatever the path that reached it.
+    grouped by (start, lattice index) of the source, in that order, the empirical
+    mean of H_j at the lag-step destination is compared against rho^{lag*j}
+    H_j(source), with z-scores using the lag-step kernel's variance.  That kernel
+    is read at the source's index from one _lattice_kernels(lag*(m-1)+1, lift)
+    per start, on the lift the path's states come from: its y is the source and
+    its atoms are the destinations, the kernels the chain sampled.
     """
     if not trajectories:
         raise InsufficientSamples("no trajectories supplied")
@@ -553,23 +571,25 @@ def empirical_conditional_moment(
     q = float(config.q)
     rho = math.sqrt(q) ** (-(config.m - 1))
 
-    groups: dict[float, list[float]] = {}
+    groups: dict[tuple[float, int], list[int]] = {}  # (start, source index): destination offsets
     for traj in trajectories:
         if (pair := (traj.config.q, traj.config.m)) != (config.q, config.m):
             raise ValueError(f"trajectories mix incompatible configs: (q, m) = {(config.q, config.m)} and {pair}")
-        for s in range(len(traj.states) - lag):
-            groups.setdefault(traj.states[s], []).append(traj.states[s + lag])
+        start, path = float(traj.config.initial_y), traj.indices
+        for i, d in zip(path, path[lag:]):
+            groups.setdefault((start, i), []).append(d - i)
+    kernels_from = functools.cache(lambda start: _lattice_kernels(lag * (config.m - 1) + 1, _lift_state(start, q)))
 
     report = MomentCheckReport(j=j, lag=lag)
-    for source, dests in sorted(groups.items()):
-        if len(dests) < min_samples:
+    for (start, i), offsets in sorted(groups.items()):
+        if len(offsets) < min_samples:
             continue
-        h_dest = [eval_H_seq(j, d, q)[j] for d in dests]
+        kernel = kernels_from(start)(i)
+        h_dest = [eval_H_seq(j, kernel.atoms[k].value, q)[j] for k in offsets]
         n = len(h_dest)
         mean = math.fsum(h_dest) / n
         var_emp = math.fsum((h - mean) ** 2 for h in h_dest) / n
-        expected = rho ** (lag * j) * eval_H_seq(j, source, q)[j]
-        kernel = k_step_distribution(config.m, lag, source, q)
+        expected = rho ** (lag * j) * eval_H_seq(j, kernel.y, q)[j]
         second = kernel.kernel_moment(lambda v: eval_H_seq(j, v, q)[j] ** 2)
         kernel_var = max(float(second) - expected**2, 0.0)
         if kernel_var == 0.0:
@@ -578,7 +598,7 @@ def empirical_conditional_moment(
             z = (mean - expected) / math.sqrt(kernel_var / n)
         report.groups.append(
             MomentGroupStats(
-                source=source,
+                source=kernel.y,
                 n_samples=n,
                 empirical_mean=mean,
                 empirical_std=math.sqrt(var_emp),
@@ -588,7 +608,5 @@ def empirical_conditional_moment(
             )
         )
     if not report.groups:
-        raise InsufficientSamples(
-            f"no source state reached {min_samples} transitions at lag {lag}"
-        )
+        raise InsufficientSamples(f"no source state reached {min_samples} transitions at lag {lag}")
     return report

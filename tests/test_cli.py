@@ -282,10 +282,22 @@ class TestSimulate:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cannot parse scalar '1e400'" in err
 
-    def test_nan_state_bound_exits_three(self, capsys):
-        argv = ["simulate", "--m", "2", "--y", "1", "--q", "4", "--steps", "3", "--max-state", "nan"]
-        code, _, err = run(capsys, *argv)
-        assert code == 3 and "max_state" in err
+    def test_a_path_whose_support_leaves_the_double_range_exits_three(self, capsys):
+        code, out, err = run(capsys, "simulate", "--m", "4", "--y", "1e150", "--q", "16", "--steps", "20000")
+        msg = (
+            "error: support leaves the double range at state y=-13.961693255622238 (m=4, q=16.0); "
+            "the first out is the support point chi_(i+k) at k = -3, i = -253\n"
+        )
+        assert (code, out, err) == (3, "", msg)
+
+    def test_no_state_bound_flag_or_sidecar_key(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--m", "2", "--y", "1", "--q", "4", "--steps", "3", "--max-state", "1"])
+        assert exc.value.code == 2 and "unrecognized arguments: --max-state 1" in capsys.readouterr().err
+        out_path = tmp_path / "run.csv"
+        assert run(capsys, "simulate", "--m", "2", "--y", "1e145", "--q", "4", "--steps", "3", "--out", str(out_path))[0] == 0
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert list(meta) == ["q", "m", "initial_y", "steps", "seed", "states_recorded"]
 
 
 class TestParser:
@@ -306,7 +318,6 @@ class TestParser:
             ("eval H 2 --x -.5 --q -1e-3 --mode float", "eval H 2 --x=-.5 --q=-1e-3 --mode float", 0),
             ("dist --m 3 --y -3/7 --q 4", "dist --m 3 --y=-3/7 --q 4", 0),
             ("simulate --m 2 --y -1/2 --q 4 --steps 5", "simulate --m 2 --y=-1/2 --q 4 --steps 5", 0),
-            ("simulate --m 2 --y 1 --q 4 --steps 3 --max-state -1e5", "simulate --m 2 --y 1 --q 4 --steps 3 --max-state=-1e5", 3),
             ("verify chi --m 2 --n -1 --y -5/2 --q 9/4", "verify chi --m 2 --n -1 --y=-5/2 --q 9/4", 0),
             ("verify factorization --m 2 --q -1/4", "verify factorization --m 2 --q=-1/4", 3),
             ("verify addition --n 4 --theta -1e-3 --phi 0.4 --q 16", "verify addition --n 4 --theta=-1e-3 --phi 0.4 --q 16", 0),

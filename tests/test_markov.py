@@ -23,7 +23,6 @@ from qchain.markov import (
     InsufficientSamples,
     InvalidKernel,
     NegativeMassError,
-    StateOverflow,
     Trajectory,
     build_distribution,
     compose,
@@ -240,6 +239,28 @@ class TestBuildDistribution:
                     if float(atom.mass) >= sys.float_info.min:
                         error = abs(float((Fraction(approx.atoms[k].mass) - atom.mass) / atom.mass))
                         assert error <= c * m * 2**-53, (m, y, k, error)
+
+    @pytest.mark.parametrize(
+        "q, first",
+        [
+            (Fraction(16), {Fraction(0): 25, Y1: 24, Fraction(5, 2): 23, Fraction(-3, 8): 24, Fraction(7): 22, Fraction(-9): 22}),
+            (Fraction(100), {Fraction(0): 20, Y1: 19, Fraction(5, 2): 18, Fraction(-3, 8): 19, Fraction(7): 18, Fraction(-9): 18}),
+        ],
+    )
+    def test_masses_below_the_normal_range_hold_the_absolute_bound(self, q, first):
+        # the markov docstring's bound where exact masses first fall below 2^-1022: a float mass is
+        # within (c + 1 + b) m 2^-1075 of its exact value M < 2^-1022, b = 1/(1/q; 1/q)_inf bounding
+        # a q-Pascal entry; the error is taken exactly, in units of 2^-1075
+        c = 19 if 1 / float(q) == 1 / q else 19 + 1 / math.log(q)
+        b = 1 / math.prod(1 - float(q) ** -i for i in range(1, 40))
+        for y, m_first in first.items():
+            for m in range(m_first - 1, m_first + 4):
+                exact, approx = build_distribution(m, y, q), build_distribution(m, float(y), float(q))
+                below = [k for k, atom in exact.atoms.items() if float(atom.mass) < sys.float_info.min]
+                assert bool(below) == (m >= m_first), (m, y)
+                for k in below:
+                    error = abs(float((Fraction(approx.atoms[k].mass) - exact.atoms[k].mass) * 2**1075))
+                    assert error <= (c + 1 + b) * m, (m, y, k, error)
 
     def test_exact_lane_is_pinned(self):
         # sha256 of the concatenated exact kernel JSON: any change to an
@@ -705,19 +726,21 @@ class TestSimulate:
             candidates = [float(chi(k, prev, 4.0)) for k in index_set(3)]
             assert any(nxt == pytest.approx(c, rel=1e-12) for c in candidates)
 
-    def test_overflow_diagnostic(self):
-        cfg = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=500, seed=1, max_state=2.0)
-        with pytest.raises(StateOverflow):
-            simulate(cfg)
+    @pytest.mark.parametrize("q", [4.0, 16.0])
+    def test_large_starts_run_without_a_state_bound(self, q):
+        # a start's path is read from its own lift, so a start far out runs while its support stays finite
+        for y0 in (1e101, 1e120, 1e145):
+            traj = simulate(ChainConfig(q=q, m=4, initial_y=y0, steps=20000))
+            assert len(traj.indices) == 20001 and all(map(math.isfinite, traj.states)), y0
 
-    def test_start_beyond_the_bound_overflows_on_its_first_revisit(self):
-        # seed 2 draws k = 0 first, so step 1 lands on index 0, the start
-        # itself, which already exceeds max_state
-        cfg = ChainConfig(q=4.0, m=3, initial_y=5.0, steps=10, seed=2, max_state=4.0)
-        start = build_distribution(3, 5.0, 4.0)
-        assert start.atoms[-2].mass <= random.Random(2).random() < start.atoms[-2].mass + start.atoms[0].mass
-        with pytest.raises(StateOverflow, match=r"^\|state\| = 5 exceeded bound 4 at step 1$"):
-            simulate(cfg)
+    def test_a_path_stops_where_the_conjugate_square_leaves_the_double_range(self):
+        # from 1e150 at q = 16 the path drifts to index -253, where the support point -256 squares 16^256
+        msg = (
+            "support leaves the double range at state y=-13.961693255622238 (m=4, q=16.0); "
+            "the first out is the support point chi_(i+k) at k = -3, i = -253"
+        )
+        with pytest.raises(DegenerateSupport, match=f"^{re.escape(msg)}$"):
+            simulate(ChainConfig(q=16.0, m=4, initial_y=1e150, steps=20000))
 
     def test_float_paths_are_pinned(self):
         # sha256 of the concatenated trajectory CSVs: any change to a
@@ -737,8 +760,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("q", math.inf), ("q", math.nan), ("initial_y", math.nan), ("initial_y", -math.inf),
-         ("max_state", math.nan), ("max_state", 0.0)],
+        [("q", math.inf), ("q", math.nan), ("initial_y", math.nan), ("initial_y", -math.inf)],
     )
     def test_config_names_a_bad_bound_or_non_finite_input(self, field, value):
         kwargs = {"q": 4.0, "m": 2, "initial_y": 1.0, "steps": 1, field: value}
@@ -785,6 +807,13 @@ class TestSimulate:
         q = traj.config.q
         theta = [math.asinh(y * math.sqrt(q - 1) / 2) for y in traj.states]
         return [round((t - theta[0]) / (math.log(q) / 2)) for t in theta]
+
+    def test_indices_are_the_recovered_lattice_path(self):
+        for m, q, y0 in [(2, 4.0, 1.0), (3, 4.0, -0.7), (4, 16.0, 2.5)]:
+            traj = simulate(ChainConfig(q=q, m=m, initial_y=y0, steps=300, seed=m))
+            indices = traj.indices
+            assert indices[0] == 0 and all(j - i in index_set(m) for i, j in zip(indices, indices[1:]))
+            assert indices == self.lattice_indices(traj)
 
     def test_states_are_chi_of_an_index_path(self):
         for m, q, y0 in [(2, 4.0, 1.0), (3, 4.0, -0.7), (4, 16.0, 2.5)]:
@@ -836,12 +865,49 @@ class TestEmpiricalMoments:
         # report the destination's moment exactly, with zero spread
         cfg = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=1, seed=0)
         dest = float(chi(1, 1.0, 4.0))
-        trajectories = [Trajectory(states=[1.0, dest], config=cfg) for _ in range(150)]
+        trajectories = [Trajectory(indices=[0, 1], config=cfg) for _ in range(150)]
         report = empirical_conditional_moment(trajectories, j=1, lag=1)
         group = report.groups[0]
         assert group.n_samples == 150
         assert group.empirical_std == pytest.approx(0.0, abs=1e-12)
         assert group.empirical_mean == pytest.approx(dest, abs=1e-12)
+
+    def test_the_check_reads_the_lattice_kernels_the_chain_sampled(self, monkeypatch):
+        # one lag-kernel builder and one lift per start, no re-lift of a float source: each group's
+        # kernel is the lattice kernel at its source index, and its atoms are the states the paths record
+        import qchain.markov as markov_mod
+
+        starts = (1.0, -0.7)
+        trajectories = [simulate(ChainConfig(q=4.0, m=2, initial_y=y0, steps=6, seed=s)) for y0 in starts for s in range(150)]
+        builders, lifts, read = [], [], []
+        lattice_kernels, lift_state = markov_mod._lattice_kernels, markov_mod._lift_state
+
+        def spy_lattice_kernels(m, lift):
+            builders.append((m, lift[0]))
+            kernel_at = lattice_kernels(m, lift)
+            return lambda i: read.append((lift[0], i, kernel_at(i))) or read[-1][2]
+
+        def refuse(*args):
+            pytest.fail("k_step_distribution re-lifts a float source")
+
+        monkeypatch.setattr(markov_mod, "_lattice_kernels", spy_lattice_kernels)
+        monkeypatch.setattr(markov_mod, "_lift_state", lambda *args: lifts.append(args) or lift_state(*args))
+        monkeypatch.setattr(markov_mod, "k_step_distribution", refuse)
+        for lag in (1, 2):
+            builders.clear(), lifts.clear(), read.clear()
+            report = empirical_conditional_moment(trajectories, j=1, lag=lag, min_samples=1)
+            assert sorted(builders) == [(lag + 1, y0) for y0 in sorted(starts)] and len(lifts) == len(starts)
+            assert [g.source for g in report.groups] == [kernel.y for _, _, kernel in read]
+            for y0, i, kernel in read:
+                for traj in trajectories:
+                    if traj.config.initial_y == y0:
+                        path, states = traj.indices, traj.states
+                        dests = [(d - i, x) for s, d, x in zip(path, path[lag:], states[lag:]) if s == i]
+                        assert all(kernel.atoms[k].value == x for k, x in dests), (lag, y0, i)
+            if lag == 1:  # the upper atom at source index 1 of y0 = 1 is the recorded chi_2(1), where
+                # a kernel lifted afresh from the float chi_1(1) puts it at 4.989109809347399
+                (kernel,) = [kernel for y0, i, kernel in read if (y0, i) == (1.0, 1)]
+                assert kernel.atoms[1].value == float(chi(2, 1.0, 4.0)) == 4.9891098093474
 
     def test_single_step_statistics(self):
         cfgs = [ChainConfig(q=4.0, m=2, initial_y=1.0, steps=1, seed=s) for s in range(400)]
@@ -975,17 +1041,14 @@ class TestSerialization:
     def test_csv_formats_each_state_as_the_per_row_writer(self):
         from qchain.markov import _fmt_state
 
-        nan, other_nan = math.nan, float("nan")
-        config = ChainConfig(q=4.0, m=2, initial_y=1.0, steps=0)
-        paths = (
-            [1.0, 0.0, -0.0, 0.0, nan, 2.5, nan, other_nan, 3, 3.0, 2.5, -0.0, 1e-300, -1e300, 1],
-            [-0.0, 0, 0.0],
-            [nan],
-            [],
-        )
-        for states in paths:
-            old = "\n".join(["step,state"] + [f"{i},{_fmt_state(s)}" for i, s in enumerate(states)]) + "\n"
-            assert Trajectory(states=states, config=config).to_csv() == old, states
+        for y0 in (0.0, -0.0, 1e-300, 2.5, -9.99, 1e90):
+            for m, q in [(2, 4.0), (3, 16.0)]:
+                traj = simulate(ChainConfig(q=q, m=m, initial_y=y0, steps=3000, seed=m))
+                rows = ["step,state"] + [f"{i},{_fmt_state(s)}" for i, s in enumerate(traj.states)]
+                assert traj.to_csv() == "\n".join(rows) + "\n", (y0, m, q)
+        # a -0.0 start keeps its own row; a revisit of index 0 is chi_0(-0.0) = 0.0
+        traj = simulate(ChainConfig(q=4.0, m=2, initial_y=-0.0, steps=2, seed=1))
+        assert traj.indices[2] == 0 and traj.to_csv().split("\n")[1::2] == ["0,-0", "2,0"]
 
 
 class TestKernelValidity:

@@ -42,6 +42,13 @@ def test_no_helper_or_knob_that_only_tests_called():
     assert [field.name for field in dataclasses.fields(markov.MomentCheckReport)] == ["j", "lag", "groups"]
 
 
+def test_a_trajectory_is_its_index_path():
+    # simulate records lattice indices alone, and no float-era state bound is left
+    assert [field.name for field in dataclasses.fields(markov.Trajectory)] == ["indices", "config"]
+    assert [field.name for field in dataclasses.fields(markov.ChainConfig)] == ["q", "m", "initial_y", "steps", "seed"]
+    assert not hasattr(markov, "StateOverflow") and not hasattr(qchain, "StateOverflow")
+
+
 def _options(parser):
     """{--flag: (type, default)} of a parser's options, in the order --help lists them."""
     return {
