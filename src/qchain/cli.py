@@ -119,8 +119,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    dist = build_distribution(args.m, _scalar(args.y, args.mode), _scalar(args.q, args.mode), strict=args.strict)
-    print(dist.to_json())
+    dist = build_distribution(args.m, _scalar(args.y, args.mode), _scalar(args.q, args.mode))
+    print((dist.check_masses() if args.strict else dist).to_json())
     return 0
 
 

@@ -23,14 +23,13 @@ each scaled by at most its q-Pascal entry b <= 1/(1/q; 1/q)_inf (1.08 at
 q = 16), so it is within c m 2^-53 M + (m-1)(1+b) 2^-1075 of its exact M:
 within (c+1+b) m 2^-1075 when M < 2^-1022.  A z q^{i+e} (or inverse) past the
 double range makes its factor 0.0, and the masses it enters are then 0.0
-against exact ones below b 2^-1024; but z0 itself overflows from |y0| about
-1.3e154/sqrt(q-1), and then a normal mass can read 0.0 too (7.1e-308 at
-m = 3, y = 4e153, q = 16).  On y in {0, 1, 5/2, -3/8, 7, -9} exact masses
-below 2^-1022 first appear at m = 22 (q = 16) and 18 (q = 100), 25 and 20 at
-y = 0; to 3 orders past that the worst is 10.9 x 2^-1075 off (m = 21, q = 100).
-A support past the double range (|y| from about 1.3e154, where y^2
-overflows, or q^{k/2} at large m) raises DegenerateSupport.  The masses
-satisfy the moment law
+against exact ones below b 2^-1024.  A float z0 overflows from |y0| about
+1.3e154/max(1, sqrt(q-1)) (3.5e153 at q = 16), where normal masses would read
+0.0 too, so such a start raises DegenerateSupport; a subnormal 1/z0 keeps the
+bounds.  On y in {0, 1, 5/2, -3/8, 7, -9} exact masses below 2^-1022 first
+appear at m = 22 (q = 16) and 18 (q = 100), 25 and 20 at y = 0; to 3 orders
+past that the worst is 10.9 x 2^-1075 off (m = 21, q = 100).  A support point
+past the double range raises it too.  The masses satisfy the moment law
 
     sum_k mass_k = 1
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
@@ -213,15 +212,13 @@ def _require_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-def build_distribution(m: int, y, q, strict: bool = False) -> ConditionalDistribution:
+def build_distribution(m: int, y, q) -> ConditionalDistribution:
     """Construct the one-step kernel at state y: index 0 of a fresh
-    _lattice_kernels(m, lift) on y's lift, sqrt(q) formed there from q.
-    `strict` runs check_masses on the result."""
+    _lattice_kernels(m, lift) on y's lift, sqrt(q) formed there from q."""
     _require_int("m", m)
     if m < 2:
         raise ValueError(f"transition order m must be >= 2, got {m}")
-    dist = _lattice_kernels(m, _lift_state(y, q))(0)
-    return dist.check_masses() if strict else dist
+    return _lattice_kernels(m, _lift_state(y, q))(0)
 
 
 def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
@@ -247,6 +244,8 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     # that y0 + sqrt(D) never cancels; the factors depend on i + e, e = (k+h)/2, alone
     s = abs(y0) + radical
     big = (q - 1) / 4 * s * s
+    if not (exact or math.isfinite(big)):  # each factor would read 0.0 or 1.0, a normal mass 0.0 with it
+        raise DegenerateSupport(f"z0 = e^(2 theta) leaves the double range at state y={y0} (m={m}, q={q})")
     z, z_inv = (big, 1 / big) if y0 >= 0 else (1 / big, big)
     binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
 
@@ -449,16 +448,14 @@ class Trajectory:
         rows = "".join(f"{t},{text[i]}\n" for t, i in enumerate(self.indices[1:], 1))
         return f"step,state\n0,{_fmt_state(self.config.initial_y)}\n" + rows
 
-    def metadata(self) -> dict:
-        return {**asdict(self.config), "states_recorded": len(self.indices)}
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write(self.to_csv())
 
     def write_metadata(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2, default=float)  # exact config values as simulate reads them
+            metadata = {**asdict(self.config), "states_recorded": len(self.indices)}
+            json.dump(metadata, fh, indent=2, default=float)  # exact config values as simulate reads them
             fh.write("\n")
 
 
@@ -498,6 +495,7 @@ def simulate(config: ChainConfig) -> Trajectory:
     index about -log|y0| / log sqrt(q): from y0 = 1e150 at m = 4, q = 16 it
     stops at i = -253, its support point i - 3 out.  At m = 4 and the default
     seed, starts 10^e ran 20,000 steps for e <= 149 (q = 16) and 151 (q = 4).
+    A start whose float z0 overflows (module docstring) raises before a step.
     """
     rng = random.Random(config.seed)
     lift = _lift_state(float(config.initial_y), float(config.q))  # as Trajectory reads the states
@@ -585,7 +583,8 @@ def empirical_conditional_moment(
         if len(offsets) < min_samples:
             continue
         kernel = kernels_from(start)(i)
-        h_dest = [eval_H_seq(j, kernel.atoms[k].value, q)[j] for k in offsets]
+        h_at = {k: eval_H_seq(j, atom.value, q)[j] for k, atom in kernel.atoms.items()}
+        h_dest = [h_at[k] for k in offsets]
         n = len(h_dest)
         mean = math.fsum(h_dest) / n
         var_emp = math.fsum((h - mean) ** 2 for h in h_dest) / n

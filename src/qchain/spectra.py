@@ -12,10 +12,10 @@ The central objects:
   * v_n / t_n: the quadratic factors whose products reproduce the
     Al-Salam-Chihara polynomials at rho = q^{-(m-1)/2}.
 
-Verifiers evaluate both sides of an identity on point grids that exceed
-the polynomial degree bound — in exact arithmetic that certifies the
-identity, without any symbolic algebra.  Complex arithmetic appears only
-inside verifiers; the probabilistic pipeline stays real.
+Verifiers evaluate both sides of an identity at points, with no symbolic
+algebra: in exact arithmetic, agreement on a grid S x T with |S|, |T| >=
+m + 1 certifies a degree-m identity in x and y (Alon 1999), and other point
+sets are only checked.  Complex arithmetic stays inside verifiers.
 
 Every verifier runs in one of two lanes, by one rule: exact when q and
 every input coordinate is an int, Fraction or QuadraticNumber, float as
@@ -263,9 +263,9 @@ def _factor_terms(degrees, q, divisor) -> list:
     return [None if h is None else (h + 1 / h, (h * h + 1 / (h * h) - 2) / divisor) for h in halves]
 
 
-def _product(x, y, squares, terms: list):
-    """prod over `terms` (_factor_terms) of squares + xy c + d, or x + y for None; squares = x^2 + y^2."""
-    xy = x * y
+def _product(x, y, terms: list):
+    """prod over `terms` (_factor_terms) of x^2 + y^2 + xy c + d, or x + y for None."""
+    squares, xy = x * x + y * y, x * y
     first, *rest = [x + y if t is None else squares + xy * t[0] + t[1] for t in terms]
     return math.prod(rest, start=first)
 
@@ -278,7 +278,7 @@ def _quadratic_factor(name: str, n: int, x, y, q, divisor):
     q = _normalize_q(q)
     if n and divisor(q) == 0:
         raise ValueError(f"{name} needs q != 1 for n >= 1, got q = {q}")
-    return _product(x, y, x * x + y * y, _factor_terms([n], q, divisor(q)))
+    return _product(x, y, _factor_terms([n], q, divisor(q)))
 
 
 def v_factor(n: int, x, y, q):
@@ -320,7 +320,7 @@ def eval_product_form(m: int, x, y, q):
         prod_{j=1..i} v_{2j-1}(x,-y,q)   for m = 2i,
         prod_{j=0..i} v_{2j}(x,-y,q)     for m = 2i+1:  the paper's product side, at one point.
     """
-    return _product(x, -y, x * x + y * y, _product_terms(m, _normalize_q(q)))
+    return _product(x, -y, _product_terms(m, _normalize_q(q)))
 
 
 def _factor_degrees(m: int) -> range:
@@ -349,17 +349,19 @@ def verify_factorization(
     rel_tol: float = 1e-8,
 ) -> VerificationReport:
     """Check the three evaluation routes to p_m(x | y, q^{-(m-1)/2}, q)
-    (recurrence, connection sum, v-factor product) against each other on a
-    grid of more than (m+1)^2 distinct (x, y) points (ValueError otherwise),
-    enough to pin a bivariate degree-m identity.  q must lie in (0, 1) or
-    (1, inf) in both lanes.  The default grid is rational; in the float lane
-    q and every point must be finite.  A given sqrt_q sets only the
-    recurrence route's rho = sqrt_q^{-(m-1)}; the other routes form sqrt(q)
-    from q, so a sqrt_q inconsistent with q shows as a counterexample.  Each route forms its x- and y-free part once per call
-    (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) and x^2
-    per x, rho y q^i, B_k(y|q) and y^2 per y for this call only, and reads
-    no other route's values.  When q, rho and every coordinate is an int or
-    Fraction, all three routes run on exactnum._Ratio, free of Fraction's
+    (recurrence, connection sum, v-factor product) against each other on more
+    than (m+1)^2 distinct (x, y) points (ValueError otherwise).  An exact pass
+    certifies the identity only on a product grid S x T with |S|, |T| >= m + 1
+    (Alon 1999), as the default grid and every s x s grid the count admits are;
+    other point sets are only checked.  q must lie in (0, 1) or (1, inf) in both
+    lanes.  The default grid is rational; in the float lane q and every point
+    must be finite.  A given sqrt_q sets only the recurrence route's
+    rho = sqrt_q^{-(m-1)}; the other routes form sqrt(q) from q, so a sqrt_q
+    inconsistent with q shows as a counterexample.  Each route forms its x- and
+    y-free part once per call (b_i, the sum's weights, the factors' q-terms),
+    caches H_k(x|q) per x and rho y q^i, B_k(y|q) per y in this call only, and
+    reads no other route's values.  When q, rho and every coordinate is an int
+    or Fraction, all three routes run on exactnum._Ratio, free of Fraction's
     gcds; its sums take the lcm of the denominators, without which the
     recurrence's denominators grow like Fibonacci numbers in bit length."""
     if m < 1:
@@ -387,12 +389,11 @@ def verify_factorization(
     b, shifts_of = _p_parts(m, rho, q)
     b, shifts = list(b), functools.cache(lambda y: list(shifts_of(lift(y))))
     B_of, H_of = functools.cache(lambda y: eval_B_seq(m, lift(y), q)), functools.cache(lambda x: eval_H_seq(m, lift(x), q))
-    square = functools.cache(lambda v: lift(v) * lift(v))
     for x, y in sample_points:
         X, Y = lift(x), lift(y)
         recur = _p_from_parts(X, shifts(y), b, x=X, y=Y, rho=rho, q=q)[m]
         summed = _expansion(weights, B_of(y), H_of(x))
-        product = _product(X, -Y, square(x) + square(y), terms)
+        product = _product(X, -Y, terms)
         witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
         _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report
@@ -439,7 +440,7 @@ def verify_addition_formula(
         for angle in (mpmath.mpf(theta) + mpmath.mpf(phi), -mpmath.mpf(theta) + mpmath.mpf(phi)):
             pochhammer *= q_pochhammer(-shift * mpmath.e ** (1j * angle), mq, n)
 
-        product = mpmath.mpf(2) ** n * _product(x, y, x * x + y * y, _factor_terms(_factor_degrees(n), mq, 4))
+        product = mpmath.mpf(2) ** n * _product(x, y, _factor_terms(_factor_degrees(n), mq, 4))
 
         real, scale = pochhammer.real, max(1.0, abs(summed), abs(product))
         residual = float(max(abs(summed - real), abs(summed - product), abs(real - product)) / scale)

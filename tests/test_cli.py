@@ -103,8 +103,8 @@ class TestVerify:
 
         real = markov_mod.build_distribution
 
-        def poisoned(m, y, q, strict=False):
-            dist = real(m, y, q, strict)
+        def poisoned(m, y, q):
+            dist = real(m, y, q)
             if m == 3:
                 from qchain.markov import Atom
 
@@ -371,6 +371,33 @@ class TestInvalidKernelExit:
         monkeypatch.setattr(cli, "build_distribution", refuse)
         code, _, err = run(capsys, "dist", "--m", "2", "--y", "1", "--q", "4", "--strict")
         assert code == 4 and "sum to 0.5" in err
+
+    def test_strict_checks_the_kernel_the_builder_returns(self, capsys, monkeypatch):
+        # the builder hands back a kernel whose masses sum to 1/2: only --strict refuses it
+        def halved(m, y, q):
+            dist = build_distribution(m, y, q)
+            atoms = {k: atom._replace(mass=atom.mass / 2) for k, atom in dist.atoms.items()}
+            return ConditionalDistribution(m=dist.m, y=dist.y, q=dist.q, atoms=atoms)
+
+        monkeypatch.setattr(cli, "build_distribution", halved)
+        argv = ["dist", "--m", "2", "--y", "1", "--q", "4", "--mode", "float"]
+        code, _, err = run(capsys, *argv, "--strict")
+        assert code == 4 and err == "error: masses of the kernel at m=2, y=1.0, q=4.0 sum to 0.5, not 1\n"
+        assert run(capsys, *argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv", [["--m", "12", "--y=-137/23", "--q", "9/4"], ["--m", "4", "--y", "2.5", "--q", "16", "--mode", "float"]]
+    )
+    def test_strict_prints_the_same_kernel(self, capsys, argv):
+        plain, strict = run(capsys, "dist", *argv), run(capsys, "dist", *argv, "--strict")
+        assert plain == strict and plain[0] == 0 and plain[1]
+
+
+@pytest.mark.parametrize("argv", [["dist", "--m", "3", "--mode", "float"], ["simulate", "--m", "4", "--steps", "10"]])
+def test_a_start_whose_z0_overflows_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv, "--y", "4e153", "--q", "16")
+    msg = f"z0 = e^(2 theta) leaves the double range at state y=4e+153 (m={argv[2]}, q=16.0)"
+    assert (code, out, err) == (3, "", f"error: {msg}\n")
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

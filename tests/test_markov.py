@@ -86,7 +86,7 @@ class TestBuildDistribution:
         assert isinstance(dist.q, float)
 
     def test_strict_accepts_clean_kernels(self):
-        dist = build_distribution(3, Y1, Q4, strict=True)
+        dist = build_distribution(3, Y1, Q4).check_masses()
         assert all(atom.mass >= 0 for atom in dist.atoms.values())
 
     def test_exact_atoms_live_in_one_field(self):
@@ -145,6 +145,20 @@ class TestBuildDistribution:
         with pytest.raises(DegenerateSupport) as exc:
             build_distribution(m, y, q)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_start_whose_z0_overflows_is_refused(self, m):
+        # at q = 16, z0 = (15/4)(|y| + r)^2 passes the double range from |y| about 3.46e153;
+        # as inf every factor would read 0.0 or 1.0, and a normal mass 0.0 (7.08e-308 exact at m = 3)
+        msg = f"z0 = e^(2 theta) leaves the double range at state y=4e+153 (m={m}, q=16.0)"
+        with pytest.raises(DegenerateSupport, match=f"^{re.escape(msg)}$"):
+            build_distribution(m, 4e153, 16.0)
+
+    def test_a_start_just_below_the_z0_overflow_builds(self):
+        # 1/z0 is subnormal there, and the masses stay within the stated bounds of the exact ones
+        built, exact = build_distribution(2, 3.4e153, 16.0), build_distribution(2, Fraction(3.4e153), Fraction(16))
+        for k, atom in exact.atoms.items():
+            assert built.atoms[k].mass == pytest.approx(float(atom.mass), rel=2**-48, abs=50 * 2.0**-1074)
 
     def test_degenerate_support_names_its_parameters(self):
         with pytest.raises(DegenerateSupport, match=r"y=1e\+200.*m=2.*q=4\.0"):
@@ -542,8 +556,8 @@ class TestComposition:
             compose(nan_copy, 2)  # nan outer masses in the composed kernel
         real_build = markov_mod.build_distribution
 
-        def nan_direct(m, y, q, strict=False):
-            dist = real_build(m, y, q, strict)
+        def nan_direct(m, y, q):
+            dist = real_build(m, y, q)
             if m == 3:  # the direct kernel is the nan one
                 dist.atoms = {k: Atom(a.value, math.nan) for k, a in dist.atoms.items()}
             return dist
@@ -615,8 +629,8 @@ class TestChapmanKolmogorov:
 
         real_build = markov_mod.build_distribution
 
-        def corrupted(m, y, q, strict=False):
-            dist = real_build(m, y, q, strict)
+        def corrupted(m, y, q):
+            dist = real_build(m, y, q)
             if m == 3:  # poison the direct kernel only
                 k = dist.indices()[0]
                 atoms = dict(dist.atoms)
@@ -635,8 +649,8 @@ class TestChapmanKolmogorov:
 
         real_build = markov_mod.build_distribution
 
-        def nan_direct(m, y, q, strict=False):
-            dist = real_build(m, y, q, strict)
+        def nan_direct(m, y, q):
+            dist = real_build(m, y, q)
             if m == 4:  # the direct kernel of the multi-step stage
                 dist.atoms[1] = dist.atoms[1]._replace(mass=math.nan)
             return dist
@@ -1064,7 +1078,7 @@ class TestKernelValidity:
             sample_step(dist, random.Random(1))
 
     def test_exact_masses_must_sum_to_exactly_one(self):
-        built = build_distribution(3, Y1, Q4, strict=True)
+        built = build_distribution(3, Y1, Q4).check_masses()
         short = ConditionalDistribution(
             m=3, y=Y1, q=Q4, atoms={**built.atoms, 2: Atom(built.atoms[2].value, built.atoms[2].mass - Fraction(1, 10**30))}
         )
@@ -1075,5 +1089,5 @@ class TestKernelValidity:
     def test_built_float_kernels_pass(self, q):
         for m in range(2, 17):
             for y in (0.0, -3.5, 1e50, -1e153):
-                atoms = build_distribution(m, y, q, strict=True).atoms.values()
+                atoms = build_distribution(m, y, q).check_masses().atoms.values()
                 assert sum(atom.mass for atom in atoms) == pytest.approx(1.0, abs=1e-12)

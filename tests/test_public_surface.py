@@ -29,7 +29,7 @@ def test_package_exports_only_the_union_of_the_module_lists():
 
 def test_no_helper_or_knob_that_only_tests_called():
     # a kernel is built from (m, y, q) alone, and verify_chapman_kolmogorov always runs both stages
-    assert list(inspect.signature(markov.build_distribution).parameters) == ["m", "y", "q", "strict"]
+    assert list(inspect.signature(markov.build_distribution).parameters) == ["m", "y", "q"]
     assert list(inspect.signature(markov.verify_chapman_kolmogorov).parameters) == ["m", "n", "y", "q", "mode"]
     for name in ("index_sumset", "chi_radical"):
         assert not hasattr(qchain, name) and not hasattr(spectra, name), name

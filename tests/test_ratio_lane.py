@@ -40,7 +40,7 @@ def lifted_routes(m, x, y, q, sqrt_q):
     return (
         qcore.eval_p(m, X, Y, lift(sqrt_q ** (-(m - 1))), Q),
         qcore.eval_p_expansion(m, X, Y, lift(rational_sqrt(q) ** (-(m - 1))), Q),
-        _product(X, -Y, X * X + Y * Y, terms),
+        _product(X, -Y, terms),
     )
 
 
