@@ -144,15 +144,8 @@ class QuadraticNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return 1 / self ** (-n)
-        out, base = QuadraticNumber(1, 0, (1, self._F)), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        power = _quad_product(1, [self] * abs(n)) if n else QuadraticNumber(1, 0, (1, self._F))
+        return 1 / power if n < 0 else power
 
     # -- exact comparisons (total_ordering adds <=, >, >=) ------------------
 
@@ -308,9 +301,9 @@ def _is_exact(*values) -> bool:
     """The lane rule: a computation is exact iff q and every input coordinate
     is an int, Fraction or QuadraticNumber; one float puts it in the float lane.
 
-    Float kernel builds ask this several times per chain step, so it tests
-    the type itself: isinstance against Fraction goes through its ABC
-    metaclass and costs several times as much."""
+    A float kernel build asks it for the lift, sqrt(q), the builder and the
+    JSON lane, so it tests the type itself: isinstance against Fraction goes
+    through its ABC metaclass and costs several times as much."""
     for v in values:
         if type(v) not in _EXACT_TYPES:
             return False

@@ -56,6 +56,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 from typing import Callable, ClassVar, NamedTuple, NoReturn
 
 from .exactnum import _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
@@ -139,14 +140,17 @@ class ConditionalDistribution:
 
     def check_masses(self) -> "ConditionalDistribution":
         """Return self if the masses are a probability vector: none negative (else NegativeMassError
-        at the lowest such index) and summing to 1, exactly in the exact lane and within 1e-12 in
-        the float lane, so nan and inf fail (InvalidKernel naming the total)."""
+        at the lowest such index) and summing to 1: exactly in the exact lane; in the float lane within
+        max(1e-12, (20 + 1/ln q) m 2^-53) at q > 1, _lattice_kernels' c m 2^-53 plus the sum's m roundings,
+        else 1e-12.  So nan and inf fail (InvalidKernel naming the total, written by format_scalar)."""
         negatives = sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
         if negatives:
             raise NegativeMassError(negatives[0], self.atoms[negatives[0]].mass)
         total = functools.reduce(operator.add, (atom.mass for atom in self.atoms.values()), 0)
-        if not (total == 1 if self.exact else abs(total - 1) <= 1e-12):
-            raise InvalidKernel(f"masses of the kernel at m={self.m}, y={self.y}, q={self.q} sum to {total}, not 1")
+        bound = max(1e-12, (20 + 1 / math.log(self.q)) * self.m * 2**-53) if not self.exact and self.q > 1 else 1e-12
+        if not (total == 1 if self.exact else abs(total - 1) <= bound):
+            where = f"the kernel at m={self.m}, y={self.y}, q={self.q}"
+            raise InvalidKernel(f"masses of {where} sum to {format_scalar(total)}, not 1")
         return self
 
     def kernel_moment(self, g) -> object:
@@ -258,15 +262,13 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
             else:  # both from one power p = q^{i+e}, as 1 - f would cancel
                 factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
         except (OverflowError, ZeroDivisionError) as exc:
-            where = f"at state y={y} (m={m}, q={q}){_first_out(m, i, lift)}"
-            raise DegenerateSupport(f"support leaves the double range {where}") from exc
+            raise _degenerate(m, i, y, lift) from exc
 
         # a float support must be m distinct, finite points (strictly increasing in k); an exact one is, as
         # chi_k = y cosh(k a) + r sinh(k a) rises in k for a = ln sqrt(q) > 0 and r > |y| (_lift_state)
         for left, right in zip(values, values[1:]) if not exact else []:
             if not right - left > 1e-12 * max(1.0, abs(left), abs(right)):
-                cause = "points collide" if all(map(math.isfinite, values)) else "leaves the double range"
-                raise DegenerateSupport(f"support {cause} at state y={y} (m={m}, q={q}){_first_out(m, i, lift)}")
+                raise _degenerate(m, i, y, lift)
 
         atoms = {}
         if exact:  # each mass from its row entry and factors at once: one reduction
@@ -284,20 +286,22 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     return kernel_at
 
 
-def _first_out(m: int, i: int, lift) -> str:
-    """A float kernel's error path: the first support point chi_{i+k}, k ascending, that raises or is
-    not finite, else the first mass-factor power q^{i+e}, e ascending, that overflows or is 0.0."""
+def _degenerate(m: int, i: int, y, lift) -> DegenerateSupport:
+    """A float kernel's support error at state y, naming the first point chi_{i+k}, k ascending, that raises or is not
+    finite, else the first power q^{i+e}, e ascending, that overflows or is 0.0; with neither out, the points collide."""
+    where = f"at state y={y} (m={m}, q={lift[3]})"
+    out = f"support leaves the double range {where}; the first out is the"
     for k in index_set(m):
         with contextlib.suppress(OverflowError, ZeroDivisionError):
             if math.isfinite(_chi(i + k, *lift)):
                 continue
-        return f"; the first out is the support point chi_(i+k) at k = {k}, i = {i}"
+        return DegenerateSupport(f"{out} support point chi_(i+k) at k = {k}, i = {i}")
     for e in range(2 - m, m - 1):
         with contextlib.suppress(OverflowError):
             if lift[3] ** (i + e):
                 continue
-        return f"; the first out is the mass-factor power q^(i+e) at e = {e}, i = {i}"
-    return ""
+        return DegenerateSupport(f"{out} mass-factor power q^(i+e) at e = {e}, i = {i}")
+    return DegenerateSupport(f"support points collide {where}")
 
 
 def conditional_moment_residual(dist: ConditionalDistribution, j: int):
@@ -449,14 +453,11 @@ class Trajectory:
         return f"step,state\n0,{_fmt_state(self.config.initial_y)}\n" + rows
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
+        Path(path).write_text(self.to_csv(), newline="")
 
     def write_metadata(self, path) -> None:
-        with open(path, "w") as fh:
-            metadata = {**asdict(self.config), "states_recorded": len(self.indices)}
-            json.dump(metadata, fh, indent=2, default=float)  # exact config values as simulate reads them
-            fh.write("\n")
+        metadata = {**asdict(self.config), "states_recorded": len(self.indices)}
+        Path(path).write_text(json.dumps(metadata, indent=2, default=float) + "\n")  # exact values as simulate reads them
 
 
 def _draw_table(dist: ConditionalDistribution) -> tuple[list[float], list[int]]:

@@ -23,9 +23,10 @@ state is _q_binomial_row's bounded memo of rows, keyed by (n, q, type(q)).
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
 
 __all__ = [
@@ -72,7 +73,7 @@ def q_factorial(n: int, q):
     """[n]_q! = [1]_q [2]_q ... [n]_q, empty product for n = 0: the q-factorial of the paper's q-binomials."""
     if n < 0:
         raise ValueError(f"q_factorial needs n >= 0, got n = {n}")
-    return reduce(operator.mul, (bracket for _, _, bracket in _q_table(n + 1, q)[1:]), 1)
+    return math.prod(bracket for _, _, bracket in _q_table(n + 1, q)[1:])
 
 
 def _q_binomial_row(n: int, q):
@@ -107,10 +108,7 @@ def q_pochhammer(a, q, n: int):
     """(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i); supports complex a."""
     if n < 0:
         raise ValueError(f"q_pochhammer needs n >= 0, got n = {n}")
-    out = 1
-    for _, power, _ in _q_table(n, q):
-        out = out * (1 - a * power)
-    return out
+    return math.prod(1 - a * power for _, power, _ in _q_table(n, q))
 
 
 def _q_table(n: int, q) -> list:

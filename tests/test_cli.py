@@ -392,6 +392,12 @@ class TestInvalidKernelExit:
         plain, strict = run(capsys, "dist", *argv), run(capsys, "dist", *argv, "--strict")
         assert plain == strict and plain[0] == 0 and plain[1]
 
+    def test_strict_accepts_a_float_kernel_near_q_one(self, capsys):
+        # q = (513/512)^2 at m = 513: the masses sum to 1 - 1.17e-12, within the float contract
+        argv = ["dist", "--m", "513", "--y", "0", "--q", "263169/262144", "--mode", "float"]
+        plain, strict = run(capsys, *argv), run(capsys, *argv, "--strict")
+        assert strict == plain and plain[0] == 0 and plain[1]
+
 
 @pytest.mark.parametrize("argv", [["dist", "--m", "3", "--mode", "float"], ["simulate", "--m", "4", "--steps", "10"]])
 def test_a_start_whose_z0_overflows_exits_three(capsys, argv):

@@ -74,6 +74,18 @@ class TestQuadraticArithmetic:
         assert u**3 * u**-3 == 1
         assert u**0 == 1
 
+    @pytest.mark.parametrize("n", [-64, 33, 64])
+    @pytest.mark.parametrize(
+        "u", [qn(Fraction(5, 4), Fraction(3, 4)), qn(Fraction(-2, 9), Fraction(7, 5), 8), qn(0, Fraction(1, 3)), qn(-3, 0)]
+    )
+    def test_a_power_is_its_repeated_product(self, u, n):
+        # |n| factors multiplied one at a time: the same value, written the same way
+        product = qn(1, 0, u.D)
+        for _ in range(abs(n)):
+            product = product * u
+        expected = 1 / product if n < 0 else product
+        assert u**n == expected and str(u**n) == str(expected)
+
     def test_non_integer_power_is_refused(self):
         with pytest.raises(TypeError):
             qn(Fraction(5, 4), Fraction(3, 4)) ** 0.5

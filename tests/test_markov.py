@@ -1091,3 +1091,30 @@ class TestKernelValidity:
             for y in (0.0, -3.5, 1e50, -1e153):
                 atoms = build_distribution(m, y, q).check_masses().atoms.values()
                 assert sum(atom.mass for atom in atoms) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m, q", [(513, 263169 / 262144), (800, 1.0001)])
+    def test_built_float_kernels_near_q_one_pass(self, m, q):
+        # q = (513/512)^2 at m = 513 lies on the path q = ((N+1)/N)^2, m = N + 1: there, and at q = 1.0001,
+        # the masses miss 1 by more than 1e-12 and stay within the float contract's (20 + 1/ln q) m 2^-53
+        dist = build_distribution(m, 0.0, q)
+        total = math.fsum(atom.mass for atom in dist.atoms.values())
+        assert 1e-12 < abs(total - 1) <= (20 + 1 / math.log(q)) * m * 2**-53
+        assert dist.check_masses() is dist
+        assert sample_step(dist, random.Random(1)) in {atom.value for atom in dist.atoms.values()}
+
+    def test_small_orders_keep_the_1e_12_floor(self):
+        # (20 + 1/ln 4) 3 2^-53 is 6.9e-15, so a total 2e-12 over 1 is refused as before
+        atoms = {-2: Atom(-1.0, 0.25), 0: Atom(0.0, 0.5), 2: Atom(1.0, 0.25 + 2e-12)}
+        dist = ConditionalDistribution(m=3, y=0.0, q=4.0, atoms=atoms)
+        message = "masses of the kernel at m=3, y=0.0, q=4.0 sum to 1.000000000002, not 1"
+        for check in (dist.check_masses, lambda: sample_step(dist, random.Random(1))):
+            with pytest.raises(InvalidKernel, match=f"^{re.escape(message)}$"):
+                check()
+
+    def test_an_exact_total_is_named_as_format_scalar_writes_it(self):
+        # the halved masses of (2, 1, 4) sum to 1/2, a rational held in Q(sqrt(7/3))
+        built = build_distribution(2, Y1, Q4)
+        atoms = {k: atom._replace(mass=atom.mass / 2) for k, atom in built.atoms.items()}
+        with pytest.raises(InvalidKernel) as exc:
+            ConditionalDistribution(m=2, y=Y1, q=Q4, atoms=atoms).check_masses()
+        assert str(exc.value) == "masses of the kernel at m=2, y=1, q=4 sum to 1/2, not 1"
