@@ -15,7 +15,7 @@ with j = (m-1-k)/2,
 (k+i)/2 is an integer and every factor lies in (0, 1], so no mass is
 negative and nothing cancels: the exact lane stays in Q(sqrt(D)), and a
 float mass whose exact value at the doubles q and y is a normal double is
-within c m 2^-53 relative of it, c = 19 or 19 + 1/ln q as _lattice_kernels
+within c m 2^-53 relative of it, c <= 19 + min(1/ln q, m/4) as _lattice_kernels
 derives.  Below 2^-1022 the bound is absolute: a product or quotient that
 lands there rounds on the subnormal grid, at most 2^-1075 off.  A mass takes
 m-1 products, each then scaled by factors <= 1, and m-1 factor quotients,
@@ -139,15 +139,16 @@ class ConditionalDistribution:
         return sorted(self.atoms)
 
     def check_masses(self) -> "ConditionalDistribution":
-        """Return self if the masses are a probability vector: none negative (else NegativeMassError
-        at the lowest such index) and summing to 1: exactly in the exact lane; in the float lane within
-        max(1e-12, (20 + 1/ln q) m 2^-53) at q > 1, _lattice_kernels' c m 2^-53 plus the sum's m roundings,
-        else 1e-12.  So nan and inf fail (InvalidKernel naming the total, written by format_scalar)."""
+        """Return self if the masses are a probability vector: none negative (else NegativeMassError at the lowest
+        such index) and summing to 1: exactly in the exact lane; in the float lane within max(1e-12, c m 2^-53) at q > 1,
+        c = 20 + min(1/ln q, (m-1)^2/(4m)): _lattice_kernels' bound, whose cap near q = 1 is a q-Pascal entry's mean
+        exponent at q = 1, plus the sum's m roundings; else 1e-12.  So nan and inf fail (InvalidKernel naming the total)."""
         negatives = sorted(k for k, atom in self.atoms.items() if atom.mass < 0)
         if negatives:
             raise NegativeMassError(negatives[0], self.atoms[negatives[0]].mass)
         total = functools.reduce(operator.add, (atom.mass for atom in self.atoms.values()), 0)
-        bound = max(1e-12, (20 + 1 / math.log(self.q)) * self.m * 2**-53) if not self.exact and self.q > 1 else 1e-12
+        c = 20 + min(1 / math.log(self.q), (self.m - 1) ** 2 / (4 * self.m)) if not self.exact and self.q > 1 else 0
+        bound = max(1e-12, c * self.m * 2**-53)
         if not (total == 1 if self.exact else abs(total - 1) <= bound):
             where = f"the kernel at m={self.m}, y={self.y}, q={self.q}"
             raise InvalidKernel(f"masses of {where} sum to {format_scalar(total)}, not 1")
@@ -236,8 +237,10 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     the float lane takes 1 - f_e as 1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel.
     Float masses, to first order in u = 2^-53: z0's roundings leave it within 11u, a factor within 16u (a pow within
     2u, three roundings), m-1 factors and products 17(m-1)u and the q-Pascal row's m-2 steps 2(m-2)u: 19mu if 1/q is
-    a double.  Else a row entry's term x^a, from powers of the rounded x = 1/q, carries 2au more, and the x^a-weighted
-    mean of a over an entry is sum_{h<m/2} h x^h/(1-x^h) < m/(2 ln q) at most: (19 + 1/ln q)mu; 3mu measured to m = 65.
+    a double.  Else a term x^a of a row entry [n choose j]_x, n = m-1, from powers of the rounded x = 1/q, carries 2au
+    more; the entry's x^a-weighted mean of a is sum_{h<m/2} h x^h/(1-x^h) < m/(2 ln q) and, as the weights fall in a, at
+    most its x = 1 value j(n-j)/2 <= (m-1)^2/8: (19 + min(1/ln q, (m-1)^2/(4m)))mu.  Measured: 3mu to m = 65, and to
+    m = 1000 for q in [1 + 2^-40, 2.25] at most 0.15 of check_masses' bound.
     A q or y off the doubles adds an input term: q^(i+e) carries |i+e| times q's rounding (5.5mu at q = (49/48)^2)."""
     y0, radical, _, q = lift
     exact = _is_exact(q)
@@ -461,32 +464,28 @@ class Trajectory:
 
 
 def _draw_table(dist: ConditionalDistribution) -> tuple[list[float], list[int]]:
-    """The float CDF of `dist` over its atoms in ascending index order, with those indices."""
+    """The float CDF of `dist` over its atoms in ascending index order, with those indices.  Its last entry is
+    inf, so bisect_right(cdf, u) for u in [0, 1) is the index of the first atom whose CDF exceeds u (masses are
+    non-negative), or the last atom if u is past the second-to-last entry: also where the sum rounded under u."""
     ks = dist.indices()
-    return list(accumulate(float(dist.atoms[k].mass) for k in ks)), ks
-
-
-def _draw(table: tuple[list[float], list[int]], rng: random.Random) -> int:
-    """One rng.random() u per draw: the index of the first atom whose CDF exceeds
-    u (masses are non-negative), or the last atom if the mass sum rounded under u."""
-    cdf, ks = table
-    return ks[min(bisect_right(cdf, rng.random()), len(ks) - 1)]
+    return [*accumulate(float(dist.atoms[k].mass) for k in ks[:-1]), math.inf], ks
 
 
 def sample_step(dist: ConditionalDistribution, rng: random.Random):
-    """Draw the next state from `dist` (see _draw), refusing a kernel whose masses are not a
-    probability vector (check_masses): one step from any kernel, loaded or edited ones too."""
-    return dist.check_masses().atoms[_draw(_draw_table(dist), rng)].value
+    """Draw the next state from `dist` with one rng.random() (see _draw_table), refusing a kernel whose masses
+    are not a probability vector (check_masses): one step from any kernel, loaded or edited ones too."""
+    cdf, ks = _draw_table(dist.check_masses())
+    return dist.atoms[ks[bisect_right(cdf, rng.random())]].value
 
 
 def simulate(config: ChainConfig) -> Trajectory:
     """Run the chain from y0 = config.initial_y for config.steps transitions.
 
     The state is a lattice index i, since chi_j o chi_i = chi_{i+j}: each
-    step draws k in (m) from the kernel at i and moves to i + k.  One
-    _lattice_kernels builder on y0's lift gives every kernel, and a
-    functools.cache keeps each visited index's _draw_table, built once.
-    The Trajectory records the indices alone.
+    step draws k in (m) from the kernel at i, as sample_step draws, and
+    moves to i + k.  One _lattice_kernels builder on y0's lift gives every
+    kernel, and a dict keeps each visited index's _draw_table, built once:
+    its length is the kernels built.  The Trajectory records the indices.
 
     How far a float path can move from its start: _chi's conjugate branch
     squares q^{k/2} - q^{-k/2}, which leaves the double range from |k| =
@@ -498,13 +497,14 @@ def simulate(config: ChainConfig) -> Trajectory:
     seed, starts 10^e ran 20,000 steps for e <= 149 (q = 16) and 151 (q = 4).
     A start whose float z0 overflows (module docstring) raises before a step.
     """
-    rng = random.Random(config.seed)
+    uniform = random.Random(config.seed).random
     lift = _lift_state(float(config.initial_y), float(config.q))  # as Trajectory reads the states
     kernel_at = _lattice_kernels(config.m, lift)  # built here: drawn without check_masses
-    table_at = functools.cache(lambda i: _draw_table(kernel_at(i)))
+    tables: dict[int, tuple[list[float], list[int]]] = {}
     index, indices = 0, [0]
     for _ in range(config.steps):
-        index += _draw(table_at(index), rng)
+        cdf, ks = tables.get(index) or tables.setdefault(index, _draw_table(kernel_at(index)))
+        index += ks[bisect_right(cdf, uniform())]
         indices.append(index)
     return Trajectory(indices=indices, config=config)
 

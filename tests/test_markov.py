@@ -9,7 +9,9 @@ import random
 import re
 import sys
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -709,6 +711,18 @@ class TestSampling:
         assert sample_step(dist, HighRandom()) == 1.0
 
 
+    def test_draw_table_is_the_mass_cdf_ending_in_inf(self):
+        # the inf in place of the float total keeps bisect_right(cdf, u) below len(ks) for every u in [0, 1)
+        from qchain.markov import _draw_table
+
+        short = ConditionalDistribution(m=2, y=0.0, q=4.0, atoms={-1: Atom(-1.0, 0.5), 1: Atom(1.0, 0.5 - 4e-13)})
+        built = [build_distribution(3, 0.7, 4.0), build_distribution(8, -2.5, 2.25), build_distribution(5, Y1, Q4)]
+        for dist in [short, *built]:
+            cdf, ks = _draw_table(dist)
+            assert ks == dist.indices()
+            assert cdf[-1] == math.inf
+            assert cdf[:-1] == list(accumulate(float(dist.atoms[k].mass) for k in ks))[:-1]
+
     def test_a_draw_equal_to_a_cdf_step_takes_the_next_atom(self):
         # an atom is drawn where u < its CDF, not u <= it: u at exactly the
         # first atom's mass draws the second atom
@@ -765,6 +779,32 @@ class TestSimulate:
         )
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "01cd68872882ac8f017316f490f7bb300b90969f9451e49beb179f2ec2064e96"
+
+    @staticmethod
+    def clamped_path(config):
+        # the draw rule before the inf sentinel: the full float CDF, the bisection clamped to the last atom
+        import qchain.markov as markov_mod
+
+        rng = random.Random(config.seed)
+        kernel_at = markov_mod._lattice_kernels(config.m, _lift_state(float(config.initial_y), float(config.q)))
+        tables = {}
+        index, path = 0, [0]
+        for _ in range(config.steps):
+            if index not in tables:
+                dist = kernel_at(index)
+                ks = dist.indices()
+                tables[index] = list(accumulate(float(dist.atoms[k].mass) for k in ks)), ks
+            cdf, ks = tables[index]
+            index += ks[min(bisect_right(cdf, rng.random()), len(ks) - 1)]
+            path.append(index)
+        return path
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_paths_are_the_clamped_draws(self, m):
+        for q in (1.1, 2.25, 4.0, 16.0):
+            for seed in range(5):
+                config = ChainConfig(q=q, m=m, initial_y=1.3, steps=2000, seed=seed)
+                assert simulate(config).indices == self.clamped_path(config), (q, seed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -1101,6 +1141,17 @@ class TestKernelValidity:
         assert 1e-12 < abs(total - 1) <= (20 + 1 / math.log(q)) * m * 2**-53
         assert dist.check_masses() is dist
         assert sample_step(dist, random.Random(1)) in {atom.value for atom in dist.atoms.values()}
+
+    def test_a_kernel_off_by_one_percent_near_q_one_is_refused(self):
+        # at q = 1 + 2^-40 and m = 200 the uncapped (20 + 1/ln q) m 2^-53 is 0.024; capped, c m 2^-53 is 1.5e-12
+        built = build_distribution(200, 0.0, 1 + 2**-40)
+        assert built.check_masses() is built
+        assert sample_step(built, random.Random(1)) in {atom.value for atom in built.atoms.values()}
+        atoms = {k: atom._replace(mass=atom.mass * 1.01) for k, atom in built.atoms.items()}
+        scaled = ConditionalDistribution(m=200, y=0.0, q=1 + 2**-40, atoms=atoms)
+        for check in (scaled.check_masses, lambda: sample_step(scaled, random.Random(1))):
+            with pytest.raises(InvalidKernel, match="m=200, y=0.0"):
+                check()
 
     def test_small_orders_keep_the_1e_12_floor(self):
         # (20 + 1/ln 4) 3 2^-53 is 6.9e-15, so a total 2e-12 over 1 is refused as before
