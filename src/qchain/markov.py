@@ -15,7 +15,7 @@ with j = (m-1-k)/2,
 (k+i)/2 is an integer and every factor lies in (0, 1], so no mass is
 negative and nothing cancels: the exact lane stays in Q(sqrt(D)), and a
 float mass whose exact value at the doubles q and y is a normal double is
-within c m 2^-53 relative of it, c <= 19 + min(1/ln q, m/4) as _lattice_kernels
+within c m 2^-53 relative of it, c <= 19 + min(1/ln q, (m-1)^2/(4m)) as _lattice_kernels
 derives.  Below 2^-1022 the bound is absolute: a product or quotient that
 lands there rounds on the subnormal grid, at most 2^-1075 off.  A mass takes
 m-1 products, each then scaled by factors <= 1, and m-1 factor quotients,
@@ -161,23 +161,23 @@ class ConditionalDistribution:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        mode, scalar = ("exact", format_scalar) if self.exact else ("float", float)
-        try:
-            atoms = [{"k": k, "value": scalar(a.value), "mass": scalar(a.mass)} for k, a in sorted(self.atoms.items())]
-            return {"q": str(self.q), "m": self.m, "y": format_scalar(self.y), "atoms": atoms, "mode": mode}
-        except ValueError as exc:
-            _name_digit_limit(exc, self.m, self.y, self.q)
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """to_json_dict() written by one template of its fixed layout: byte-identical
-        to json.dumps(self.to_json_dict(), indent=2) without that pure-Python encoder."""
-        doc, leaf = self.to_json_dict(), _json_leaf
-        atoms = ",\n".join(
-            f'    {{\n      "k": {leaf(a["k"])},\n      "value": {leaf(a["value"])},\n      "mass": {leaf(a["mass"])}\n    }}'
-            for a in doc["atoms"]
-        )
-        head = f'{{\n  "q": {leaf(doc["q"])},\n  "m": {leaf(doc["m"])},\n  "y": {leaf(doc["y"])},\n  "atoms": '
-        return head + (f"[\n{atoms}\n  ]" if atoms else "[]") + f',\n  "mode": {leaf(doc["mode"])}\n}}'
+        """The kernel document, q, m, y, the atoms in ascending k and the mode, in one template of
+        json.dumps(doc, indent=2)'s layout without that pure-Python encoder; exact scalars as format_scalar
+        text.  to_json_dict parses it."""
+        (mode, scalar), leaf = ("exact", format_scalar) if self.exact else ("float", float), _json_leaf
+        try:
+            atoms = ",\n".join(
+                f'    {{\n      "k": {leaf(k)},\n      "value": {leaf(scalar(a.value))},\n'
+                f'      "mass": {leaf(scalar(a.mass))}\n    }}'
+                for k, a in sorted(self.atoms.items())
+            )
+            head = f'{{\n  "q": {leaf(str(self.q))},\n  "m": {leaf(self.m)},\n  "y": {leaf(format_scalar(self.y))},\n'
+        except ValueError as exc:
+            _name_digit_limit(exc, self.m, self.y, self.q)
+        return head + (f'  "atoms": [\n{atoms}\n  ]' if atoms else '  "atoms": []') + f',\n  "mode": "{mode}"\n}}'
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConditionalDistribution":
@@ -590,7 +590,7 @@ def empirical_conditional_moment(
         mean = math.fsum(h_dest) / n
         var_emp = math.fsum((h - mean) ** 2 for h in h_dest) / n
         expected = rho ** (lag * j) * eval_H_seq(j, kernel.y, q)[j]
-        second = kernel.kernel_moment(lambda v: eval_H_seq(j, v, q)[j] ** 2)
+        second = functools.reduce(operator.add, (atom.mass * h_at[k] ** 2 for k, atom in kernel.atoms.items()), 0)
         kernel_var = max(float(second) - expected**2, 0.0)
         if kernel_var == 0.0:
             z = 0.0 if mean == expected else math.inf

@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import pytest
 
-from qchain.exactnum import QuadraticNumber
+from qchain.exactnum import QuadraticNumber, format_scalar
 from qchain.markov import (
     Atom,
     ChainConfig,
@@ -1092,6 +1092,62 @@ class TestSerialization:
             assert text == json.dumps(dist.to_json_dict(), indent=2)
         assert '"mass": NaN' in edited.to_json() and '"mass": -0.0' in edited.to_json()
 
+    @staticmethod
+    def _document(dist):
+        # the kernel document built as data, independently of to_json's template
+        scalar = format_scalar if dist.exact else float
+        atoms = [{"k": k, "value": scalar(a.value), "mass": scalar(a.mass)} for k, a in sorted(dist.atoms.items())]
+        mode = "exact" if dist.exact else "float"
+        return {"q": str(dist.q), "m": dist.m, "y": format_scalar(dist.y), "atoms": atoms, "mode": mode}
+
+    @classmethod
+    def _assert_same(cls, got, want, where):
+        # strict: same types, keys in the same order, NaN through math.isnan and the sign of a zero
+        assert type(got) is type(want), (where, got, want)
+        if isinstance(want, dict):
+            assert list(got) == list(want), (where, got, want)
+            for key in want:
+                cls._assert_same(got[key], want[key], where)
+        elif isinstance(want, list):
+            assert len(got) == len(want), (where, got, want)
+            for a, b in zip(got, want):
+                cls._assert_same(a, b, where)
+        elif isinstance(want, float):
+            same = math.isnan(got) if math.isnan(want) else got == want and math.copysign(1, got) == math.copysign(1, want)
+            assert same, (where, got, want)
+        else:
+            assert got == want, (where, got, want)
+
+    def test_json_dict_is_the_document_built_as_data(self):
+        kernels = [
+            build_distribution(m, y, q)
+            for m in range(2, 13)
+            for q in (Q4, Fraction(9, 4))
+            for y in (Fraction(0), Y1, Fraction(-137, 23), Fraction(5, 2)) + ((chi(1, Y1, Q4),) if q == Q4 else ())
+        ]
+        floats = (0.0, -0.0, 1e-300, -9.99, 1e150)
+        kernels += [build_distribution(m, y, q) for q in (2.25, 4.0, 16.0) for y in floats for m in (2, 3, 4, 7)]
+        # a hand-built kernel with NaN, +-inf and -0.0 masses, and an empty one
+        base = build_distribution(4, 1.0, 4.0)
+        masses = dict(zip(base.indices(), (math.nan, math.inf, -math.inf, -0.0)))
+        atoms = {k: Atom(base.atoms[k].value, mass) for k, mass in masses.items()}
+        kernels += [ConditionalDistribution(4, 1.0, 4.0, atoms), ConditionalDistribution(2, 0.0, 4.0, {})]
+        assert len(kernels) == 161
+        for dist in kernels:
+            self._assert_same(dist.to_json_dict(), self._document(dist), (dist.m, dist.y, dist.q))
+
+    def test_json_dict_names_the_kernel_at_the_digit_limit(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no int/str digit limit")
+        dist = build_distribution(28, Fraction(-137, 23), Fraction(9, 4))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError, match=r"m=28, y=-137/23, q=9/4 .*sys\.set_int_max_str_digits"):
+                dist.to_json_dict()
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_csv_formats_each_state_as_the_per_row_writer(self):
         from qchain.markov import _fmt_state
 
@@ -1135,10 +1191,10 @@ class TestKernelValidity:
     @pytest.mark.parametrize("m, q", [(513, 263169 / 262144), (800, 1.0001)])
     def test_built_float_kernels_near_q_one_pass(self, m, q):
         # q = (513/512)^2 at m = 513 lies on the path q = ((N+1)/N)^2, m = N + 1: there, and at q = 1.0001,
-        # the masses miss 1 by more than 1e-12 and stay within the float contract's (20 + 1/ln q) m 2^-53
+        # the masses miss 1 by more than 1e-12 and stay within the float contract's (20 + min(1/ln q, (m-1)^2/(4m))) m 2^-53
         dist = build_distribution(m, 0.0, q)
         total = math.fsum(atom.mass for atom in dist.atoms.values())
-        assert 1e-12 < abs(total - 1) <= (20 + 1 / math.log(q)) * m * 2**-53
+        assert 1e-12 < abs(total - 1) <= (20 + min(1 / math.log(q), (m - 1) ** 2 / (4 * m))) * m * 2**-53
         assert dist.check_masses() is dist
         assert sample_step(dist, random.Random(1)) in {atom.value for atom in dist.atoms.values()}
 
