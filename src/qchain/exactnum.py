@@ -266,6 +266,20 @@ def _quotient(A1, B1, C1, A2, B2, C2, F) -> QuadraticNumber:
     return QuadraticNumber((A1 * A2 - B1 * B2 * N) * C2, (B1 * A2 - A1 * B2) * C2, (C1 * norm, F))
 
 
+def _integer_combination(u: int, y, v: int, r: QuadraticNumber, w: int) -> QuadraticNumber:
+    """(u y + v r)/w by one reduction: integers u, v, w != 0, y an int, Fraction or QuadraticNumber in r's field."""
+    yA, yB, yC = (y._A, y._B, y._C) if type(y) is QuadraticNumber else (y.numerator, 0, y.denominator)
+    u, v = u * r._C, v * yC
+    return QuadraticNumber(u * yA + v * r._A, u * yB + v * r._B, (w * yC * r._C, r._F))
+
+
+def _factor_pair(z: QuadraticNumber, t: Fraction, n: int) -> tuple:
+    """1/(1 + z t^n) and z t^n/(1 + z t^n) for a QuadraticNumber z > 0 and a rational t > 0: two quotients, one divisor."""
+    P, Q = (t.numerator**n, t.denominator**n) if n >= 0 else (t.denominator**-n, t.numerator**-n)
+    A, B, C = z._A * P, z._B * P, z._C * Q  # z t^n = (A + B sqrt(N))/C: C and A + B sqrt(N) over C + A + B sqrt(N)
+    return _quotient(C, 0, 1, C + A, B, 1, z._F), _quotient(A, B, 1, C + A, B, 1, z._F)
+
+
 def quad_sqrt(v: QuadraticNumber) -> QuadraticNumber:
     """Nonnegative square root of v = (A + B sqrt(N))/C in its field, from the integers.
 

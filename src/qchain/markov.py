@@ -59,7 +59,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, ClassVar, NamedTuple, NoReturn
 
-from .exactnum import _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
+from .exactnum import _factor_pair, _is_exact, _quad_product, format_scalar, parse_exact, scalar_sqrt
 from .qcore import _q_binomial_row, eval_H_seq
 from .spectra import IndexSetError, VerificationFailed, VerificationReport, _check, _chi, _fail, _float_q
 from .spectra import _lift_state, index_set
@@ -227,14 +227,13 @@ def build_distribution(m: int, y, q) -> ConditionalDistribution:
 
 
 def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
-    """kernel_at(i): the order-m kernel at lattice index i of the start y0, where
-    lift = (y0, radical, sqrt_q, q) is spectra._lift_state's.  The lane check, z0,
-    the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are formed
-    once.  Kernel i's state is chi_i(y0), named in its errors; its support is
-    chi_{i+k}(y0), k in (m), and with f_e = 1/(1 + z0 q^{i+e}) its masses are
-    [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k} (1 - f_{(k+h)/2}).  The exact
-    lane forms one reciprocal per e and one reduction per mass (exactnum._quad_product);
-    the float lane takes 1 - f_e as 1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel.
+    """kernel_at(i): the order-m kernel at lattice index i of the start y0, where lift = (y0, radical, sqrt_q, q) is
+    spectra._lift_state's.  The lane check, z0, the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are
+    formed once.  Kernel i's state is chi_i(y0), named in its errors; its support is chi_{i+k}(y0), k in (m), and with
+    f_e = 1/(1 + z0 q^{i+e}) its masses are [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k} (1 - f_{(k+h)/2}).
+    The exact lane builds f_e and 1 - f_e from the integers of z0 and q^{i+e} as two quotients over one divisor
+    (exactnum._factor_pair) and each mass by one reduction (exactnum._quad_product); the float lane takes 1 - f_e as
+    1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel.
     Float masses, to first order in u = 2^-53: z0's roundings leave it within 11u, a factor within 16u (a pow within
     2u, three roundings), m-1 factors and products 17(m-1)u and the q-Pascal row's m-2 steps 2(m-2)u: 19mu if 1/q is
     a double.  Else a term x^a of a row entry [n choose j]_x, n = m-1, from powers of the rounded x = 1/q, carries 2au
@@ -261,7 +260,7 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
         try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
             values = [_chi(i + k, *lift) for k in ks]
             if exact:  # (factor for h < k, for h > k): 1/(1 + z^{-1} q^{-(i+e)}) is 1 - 1/(1 + z q^{i+e})
-                factors = {e: (f, 1 - f) for e in range(2 - m, m - 1) for f in [1 / (1 + z * q ** (i + e))]}
+                factors = {e: _factor_pair(z, q, i + e) for e in range(2 - m, m - 1)}
             else:  # both from one power p = q^{i+e}, as 1 - f would cancel
                 factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
         except (OverflowError, ZeroDivisionError) as exc:

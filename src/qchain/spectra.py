@@ -38,6 +38,7 @@ from fractions import Fraction
 from .exactnum import (
     NotAPerfectSquare,
     QuadraticNumber,
+    _integer_combination,
     _is_exact,
     _Ratio,
     quad_sqrt,
@@ -188,16 +189,13 @@ def index_set(m: int) -> list[int]:
 
 
 def _lift_state(y, q):
-    """The one entry from a conditioning state to the coordinates chi reads:
-    (y, radical, sqrt_q, q) with radical = sqrt(y^2 + 4/(q-1)) and q > 1
-    (else a ValueError naming q), taken once per start: a
-    markov._lattice_kernels builder reads every kernel on its lattice from
-    it.  The returned y is the state in its lane, the kernel's state at
-    index 0.  A float y or q puts both in the float lane (y a float, a nan
-    y included).  In the exact lane a rational y stays its Fraction and
-    its radical is sqrt(D) in Q(sqrt(D)), D = y^2 + 4/(q-1) (rational when
-    D is a square); a QuadraticNumber state keeps its field and the
-    radical is extracted there (NotRepresentable when it does not exist).
+    """The one entry from a conditioning state to the coordinates chi reads: (y, radical, sqrt_q, q) with
+    radical = sqrt(y^2 + 4/(q-1)), q > 1 and, in the exact lane, q an int or Fraction (else a ValueError naming q),
+    taken once per start: a markov._lattice_kernels builder reads every kernel on its lattice from it.  The returned
+    y is the state in its lane, the kernel's state at index 0.  A float y or q puts both in the float lane (y a float,
+    a nan y included).  In the exact lane a rational y stays its Fraction and its radical is sqrt(D) in Q(sqrt(D)),
+    D = y^2 + 4/(q-1) (rational when D is a square); a QuadraticNumber state keeps its field and the radical is
+    extracted there (NotRepresentable when it does not exist).
     """
     q = _normalize_q(q)
     if not q > 1:
@@ -205,25 +203,28 @@ def _lift_state(y, q):
     if not _is_exact(y, q):
         y, q = float(y), float(q)
         return y, math.sqrt(y * y + 4.0 / (q - 1.0)), scalar_sqrt(q), q
+    if not isinstance(q, Fraction):  # chi and the mass factors read q's numerator and denominator
+        raise ValueError(f"the exact lane needs an int or Fraction q, got q = {q}")
     sq = scalar_sqrt(q)
     if isinstance(y, QuadraticNumber):
         try:
             return y, quad_sqrt(y * y + Fraction(4) / (q - 1)), sq, q
         except NotAPerfectSquare as exc:
-            raise NotRepresentable(
-                f"sqrt(({y})^2 + 4/(q-1)) at q = {q} leaves Q(sqrt({y.D}))"
-            ) from exc
+            raise NotRepresentable(f"sqrt(({y})^2 + 4/(q-1)) at q = {q} leaves Q(sqrt({y.D}))") from exc
     y = Fraction(y)
     return y, QuadraticNumber(0, 1, y * y + Fraction(4) / (q - 1)), sq, q
 
 
 def _chi(k: int, y, radical, sq, q):
-    """chi_k at a state already lifted by _lift_state (see chi)."""
+    """chi_k at a state already lifted by _lift_state (see chi), by chi's integer route in the exact lane."""
+    if type(radical) is QuadraticNumber:  # q^{k/2} = P/Q: (y (P^2 + Q^2) + r (P^2 - Q^2))/(2PQ), one reduction
+        P, Q = (sq.numerator**k, sq.denominator**k) if k >= 0 else (sq.denominator**-k, sq.numerator**-k)
+        return _integer_combination(P * P + Q * Q, y, P * P - Q * Q, radical, 2 * P * Q)
     qk = sq**k
     qk_inv = 1 / qk
     even = y * (qk + qk_inv)
     odd = radical * (qk - qk_inv)
-    if isinstance(radical, float) and even * odd < 0:
+    if even * odd < 0:
         spread = qk - qk_inv
         return 2 * (y * y - spread * spread / (q - 1)) / (even - odd)
     return (even + odd) / 2
@@ -235,18 +236,16 @@ def chi(k: int, y, q):
         chi_k(y, q) = y (q^{k/2} + q^{-k/2}) / 2
                       + sqrt(y^2 + 4/(q-1)) (q^{k/2} - q^{-k/2}) / 2
 
-    valid for every k in Z (k = 0 gives y back); chi_{+n} and chi_{-n}
-    are the two roots of v_n(x, -y, q).  Requires q > 1.  q^{k/2} is
-    scalar_sqrt(q)^k, so an exact q must be a perfect rational square.
+    valid for every k in Z (k = 0 gives y back); chi_{+n} and chi_{-n} are the two roots of v_n(x, -y, q).
+    Requires q > 1; an exact q must be an int or Fraction and a perfect rational square.
 
-    Exact states give the exact value in Q(sqrt(D)).  For float states,
-    when the y term (even) and the radical term (odd) have opposite signs
-    the sum is taken through its conjugate,
-    2 (y^2 - (q^{k/2} - q^{-k/2})^2/(q-1)) / (even - odd), whose
-    denominator does not cancel; the relative error is then within
-    a small multiple of 2^-53 max(1, kappa), kappa being the condition
-    number |y d(chi_k)/dy / chi_k| of chi_k in y.  A float q^{k/2} past the
-    double range raises an OverflowError naming k and q.
+    Exact states give the exact value in Q(sqrt(D)) from integers: with q^{k/2} = P/Q in lowest terms and
+    r = sqrt(y^2 + 4/(q-1)), chi_k = (y (P^2 + Q^2) + r (P^2 - Q^2)) / (2PQ), one QuadraticNumber over the integer
+    coordinates of y and r, reduced once.  For float states, when the y term (even) and the radical term (odd) have
+    opposite signs the sum is taken through its conjugate, 2 (y^2 - (q^{k/2} - q^{-k/2})^2/(q-1)) / (even - odd),
+    whose denominator does not cancel; the relative error is then within a small multiple of 2^-53 max(1, kappa),
+    kappa being the condition number |y d(chi_k)/dy / chi_k| of chi_k in y.  A float q^{k/2} past the double range
+    raises an OverflowError naming k and q.
     """
     state = _lift_state(y, q)
     try:  # a float q^{k/2} past the double range overflows, or underflows to a 0.0 divisor

@@ -9,6 +9,7 @@ from qchain.exactnum import QuadraticNumber, format_scalar, parse_exact
 from qchain.markov import (
     ChainConfig,
     InsufficientSamples,
+    build_distribution,
     empirical_conditional_moment,
     k_step_distribution,
     simulate,
@@ -57,6 +58,16 @@ def _paths(*ms):
             lambda: chi(0, chi(1, 1, 4), Fraction(9, 4)),
             NotRepresentable,
             "sqrt((5/4 + 3/4*sqrt(7/3))^2 + 4/(q-1)) at q = 9/4 leaves Q(sqrt(7/3))",
+        ),
+        (
+            lambda: build_distribution(3, Fraction(1), QuadraticNumber(4, 0, Fraction(7, 3))),
+            ValueError,
+            "the exact lane needs an int or Fraction q, got q = 4 + 0*sqrt(7/3)",
+        ),
+        (
+            lambda: chi(1, 1, QuadraticNumber(2, 1, 3)),
+            ValueError,
+            "the exact lane needs an int or Fraction q, got q = 2 + 1*sqrt(3)",
         ),
         (lambda: k_step_distribution(2, 0, 1, 4), ValueError, "step count k must be >= 1, got 0"),
         (

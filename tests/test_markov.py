@@ -15,7 +15,7 @@ from itertools import accumulate
 
 import pytest
 
-from qchain.exactnum import QuadraticNumber, format_scalar
+from qchain.exactnum import QuadraticNumber, format_scalar, scalar_sqrt
 from qchain.markov import (
     Atom,
     ChainConfig,
@@ -35,7 +35,7 @@ from qchain.markov import (
     simulate,
     verify_chapman_kolmogorov,
 )
-from qchain.qcore import eval_H_seq, q_binomial
+from qchain.qcore import eval_H_seq, eval_p_seq, q_binomial, q_bracket
 from qchain.spectra import IndexSetError, VerificationFailed, VerificationReport, _lift_state, chi, index_set
 
 Y1, Q4 = Fraction(1), Fraction(4)
@@ -410,6 +410,21 @@ class TestLatticeKernels:
                         masses = {k: atom.mass for k, atom in self.at_index(m, i, y, q).atoms.items()}
                         assert masses == self.folded_masses(m, i, y, q), (q, y, m, i)
 
+    def test_exact_lattice_kernels_are_pinned(self):
+        # sha256 of exact kernels at lattice indices -6..6, as compose reads them: Q(sqrt D) states,
+        # a rational field (D = 9/4 at y = 0, q = 25/9) and q in {25/9, 100}, which the pins above miss
+        states = (
+            (chi(1, 1, Q4), Q4),
+            (chi(-2, Fraction(-3, 7), Fraction(9, 4)), Fraction(9, 4)),
+            (Y1, Fraction(25, 9)),
+            (Fraction(0), Fraction(25, 9)),
+            (Fraction(-3, 7), Fraction(100)),
+            (chi(1, Fraction(5, 2), Fraction(100)), Fraction(100)),
+        )
+        text = "".join(self.at_index(m, i, y, q).to_json() for y, q in states for m in range(2, 8) for i in range(-6, 7))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "6d50976a4e1746bd49c79108688bae1626b9cc79b4ef9b1acdeed8848b0d3a57"
+
     def test_errors_name_the_state_at_the_index(self):
         state = repr(float(chi(510, 1.0, 16.0)))
         with pytest.raises(DegenerateSupport, match=f"at state y={re.escape(state)} "):
@@ -444,6 +459,25 @@ class TestMomentLaw:
     def test_rejects_zero_order(self):
         with pytest.raises(ValueError):
             conditional_moment_residual(build_distribution(2, Y1, Q4), 0)
+
+    def test_kernel_is_the_gauss_rule_of_the_p_family(self):
+        # sum_k mass_k p_i(chi_k) p_j(chi_k) = delta_ij prod_{l<=i} (1 - rho^2 q^(l-1)) [l]_q for i, j < m,
+        # rho = q^(-(m-1)/2), and p_m vanishes at every atom: the masses are the m-point Gauss rule
+        checks = 0
+        for q in (Q4, Fraction(9, 4), Fraction(9)):
+            for y in (Y1, Fraction(-3, 7), Fraction(0), Fraction(5, 2)):
+                for m in range(2, 8):
+                    rho = scalar_sqrt(q) ** (1 - m)
+                    dist = build_distribution(m, y, q)
+                    ps = {k: eval_p_seq(m, atom.value, y, rho, q) for k, atom in dist.atoms.items()}
+                    for i in range(m):
+                        norm = math.prod((1 - rho * rho * q ** (l - 1)) * q_bracket(l, q) for l in range(1, i + 1))
+                        for j in range(m):
+                            total = sum(atom.mass * ps[k][i] * ps[k][j] for k, atom in dist.atoms.items())
+                            assert total == (norm if i == j else 0), (q, y, m, i, j)
+                            checks += 1
+                    assert all(p[m] == 0 for p in ps.values()), (q, y, m)
+        assert checks == 1668
 
     def test_float_rows_vanish_to_rounding(self):
         # the float lane's rho = sqrt(q)^{1-m} = 1/4 at q = 4, m = 3

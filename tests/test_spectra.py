@@ -36,7 +36,7 @@ from qchain.spectra import (
     verify_factorization,
     verify_h_H_relation,
 )
-from qchain.spectra import _lift_state
+from qchain.spectra import _chi, _lift_state
 
 D_REF = Fraction(7, 3)  # discriminant at y = 1, q = 4
 
@@ -144,6 +144,19 @@ class TestChi:
             for m in range(2, 13):
                 support = [atom.value for _, atom in sorted(build_distribution(m, y, q).atoms.items())]
                 assert all(a < b for a, b in zip(support, support[1:])), (y, q, m)
+
+    def test_exact_chi_is_the_composite_formula(self):
+        # (y (q^{k/2} + q^{-k/2}) + r (q^{k/2} - q^{-k/2})) / 2 by Fraction and QuadraticNumber operations:
+        # the same reduced integers, and a QuadraticNumber at every k, k = 0 included
+        for q in (Fraction(4), Fraction(9, 4), Fraction(25, 9), Fraction(100)):
+            for y in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(2), chi(1, 1, q)):
+                state = y, r, sq, _ = _lift_state(y, q)
+                for k in range(-12, 13):
+                    qk = sq**k
+                    composite = (y * (qk + 1 / qk) + r * (qk - 1 / qk)) / 2
+                    value = _chi(k, *state)
+                    assert type(value) is QuadraticNumber and value == composite, (q, y, k)
+                    assert repr(value) == repr(composite) and value.D == composite.D, (q, y, k)
 
     def test_roots_of_v(self):
         y, q = Fraction(1), Fraction(4)
