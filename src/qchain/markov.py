@@ -29,7 +29,9 @@ against exact ones below b 2^-1024.  A float z0 overflows from |y0| about
 bounds.  On y in {0, 1, 5/2, -3/8, 7, -9} exact masses below 2^-1022 first
 appear at m = 22 (q = 16) and 18 (q = 100), 25 and 20 at y = 0; to 3 orders
 past that the worst is 10.9 x 2^-1075 off (m = 21, q = 100).  A support point
-past the double range raises it too.  The masses satisfy the moment law
+past the double range raises it too, as does a q-Pascal row entry: near q = 1
+the row stays finite up to m = 1030 at q = 1 + 2^-40, m = 1050 at q = 1.0001
+and m = 1303 at q = 1.001.  The masses satisfy the moment law
 
     sum_k mass_k = 1
     sum_k mass_k H_j(chi_k | q) = q^{-j(m-1)/2} H_j(y | q),   j = 1..m-1.
@@ -228,12 +230,15 @@ def build_distribution(m: int, y, q) -> ConditionalDistribution:
 
 def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     """kernel_at(i): the order-m kernel at lattice index i of the start y0, where lift = (y0, radical, sqrt_q, q) is
-    spectra._lift_state's.  The lane check, z0, the index set and the q-Pascal row (qcore._q_binomial_row at 1/q) are
-    formed once.  Kernel i's state is chi_i(y0), named in its errors; its support is chi_{i+k}(y0), k in (m), and with
-    f_e = 1/(1 + z0 q^{i+e}) its masses are [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k} (1 - f_{(k+h)/2}).
-    The exact lane builds f_e and 1 - f_e from the integers of z0 and q^{i+e} as two quotients over one divisor
-    (exactnum._factor_pair) and each mass by one reduction (exactnum._quad_product); the float lane takes 1 - f_e as
-    1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel.
+    spectra._lift_state's.  The index set, the q-Pascal row (qcore._q_binomial_row at 1/q) and z0 are formed once, and
+    q's lane picks the path once.  Kernel i's state is chi_i(y0), named in its errors; its support is chi_{i+k}(y0),
+    k in (m), and with f_e = 1/(1 + z0 q^{i+e}) its masses are [m-1 choose j]_{1/q} prod_{h<k} f_{(k+h)/2} prod_{h>k}
+    (1 - f_{(k+h)/2}).  The exact path forms f_e and 1 - f_e as two quotients over one divisor (exactnum._factor_pair)
+    and each mass by one reduction (exactnum._quad_product).  It refuses nothing: each factor lies in (0, 1), and
+    chi_k = y cosh(k a) + r sinh(k a) rises in k (a = ln sqrt(q) > 0, r > |y|).  The float path takes 1 - f_e as
+    1/(1 + z0^{-1} q^{-(i+e)}), as 1 - f_e would cancel, and owns every refusal of the float lane: spectra._float_q's,
+    then a z0 or q-Pascal row entry past the double range, then per kernel a point or power q^{i+e} out or points
+    within 1e-12 relative (_degenerate).  So a float kernel leaves it with finite masses.
     Float masses, to first order in u = 2^-53: z0's roundings leave it within 11u, a factor within 16u (a pow within
     2u, three roundings), m-1 factors and products 17(m-1)u and the q-Pascal row's m-2 steps 2(m-2)u: 19mu if 1/q is
     a double.  Else a term x^a of a row entry [n choose j]_x, n = m-1, from powers of the rounded x = 1/q, carries 2au
@@ -242,47 +247,49 @@ def _lattice_kernels(m: int, lift) -> Callable[[int], ConditionalDistribution]:
     m = 1000 for q in [1 + 2^-40, 2.25] at most 0.15 of check_masses' bound.
     A q or y off the doubles adds an input term: q^(i+e) carries |i+e| times q's rounding (5.5mu at q = (49/48)^2)."""
     y0, radical, _, q = lift
-    exact = _is_exact(q)
-    if not exact:  # a float q or start puts the whole kernel in the float lane
-        _float_q(q, y=y0)
-    ks = index_set(m)
-    # z0 = e^{2 theta_0} and 1/z0, with e^{2|theta_0|} >= 1 formed from |y0| so
-    # that y0 + sqrt(D) never cancels; the factors depend on i + e, e = (k+h)/2, alone
+    ks, binomials = index_set(m), _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
+    # z0 = e^{2 theta_0}, from e^{2|theta_0|} >= 1 formed from |y0| so that y0 + sqrt(D) never cancels
     s = abs(y0) + radical
     big = (q - 1) / 4 * s * s
-    if not (exact or math.isfinite(big)):  # each factor would read 0.0 or 1.0, a normal mass 0.0 with it
+    if _is_exact(q):  # a float q or start puts the whole kernel in the float lane
+        z = big if y0 >= 0 else 1 / big
+
+        def kernel_at(i: int) -> ConditionalDistribution:  # (factor for h < k, for h > k), each mass one reduction
+            factors = {e: _factor_pair(z, q, i + e) for e in range(2 - m, m - 1)}
+            atoms = {
+                k: Atom(_chi(i + k, *lift), _quad_product(start, [factors[(k + h) // 2][h > k] for h in ks if h != k]))
+                for k, start in zip(ks, reversed(binomials))
+            }
+            return ConditionalDistribution(m=m, y=_chi(i, *lift) if i else y0, q=q, atoms=atoms)
+
+        return kernel_at
+
+    _float_q(q, y=y0)
+    if not math.isfinite(big):  # each factor would read 0.0 or 1.0, a normal mass 0.0 with it
         raise DegenerateSupport(f"z0 = e^(2 theta) leaves the double range at state y={y0} (m={m}, q={q})")
+    if not all(map(math.isfinite, binomials)):  # near q = 1 a large order overflows it (module docstring)
+        j = next(j for j, b in enumerate(binomials) if not math.isfinite(b))
+        raise DegenerateSupport(f"q-Pascal row [m-1 choose j]_(1/q) leaves the double range at j = {j} (m={m}, q={q})")
     z, z_inv = (big, 1 / big) if y0 >= 0 else (1 / big, big)
-    binomials = _q_binomial_row(m - 1, 1 / q)  # [m-1 choose j]_{1/q}, j = 0 at k = m-1
 
     def kernel_at(i: int) -> ConditionalDistribution:
         y = _chi(i, *lift) if i else y0
-        try:  # a float q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
+        try:  # q^{k/2} or q^e past the double range overflows, or underflows to a 0.0 divisor
             values = [_chi(i + k, *lift) for k in ks]
-            if exact:  # (factor for h < k, for h > k): 1/(1 + z^{-1} q^{-(i+e)}) is 1 - 1/(1 + z q^{i+e})
-                factors = {e: _factor_pair(z, q, i + e) for e in range(2 - m, m - 1)}
-            else:  # both from one power p = q^{i+e}, as 1 - f would cancel
-                factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
+            factors = {e: (1 / (1 + z * p), 1 / (1 + z_inv / p)) for e in range(2 - m, m - 1) for p in [q ** (i + e)]}
         except (OverflowError, ZeroDivisionError) as exc:
             raise _degenerate(m, i, y, lift) from exc
 
-        # a float support must be m distinct, finite points (strictly increasing in k); an exact one is, as
-        # chi_k = y cosh(k a) + r sinh(k a) rises in k for a = ln sqrt(q) > 0 and r > |y| (_lift_state)
-        for left, right in zip(values, values[1:]) if not exact else []:
+        for left, right in zip(values, values[1:]):  # m distinct, finite points, strictly increasing in k
             if not right - left > 1e-12 * max(1.0, abs(left), abs(right)):
                 raise _degenerate(m, i, y, lift)
 
         atoms = {}
-        if exact:  # each mass from its row entry and factors at once: one reduction
-            for k, value, start in zip(ks, values, reversed(binomials)):
-                atoms[k] = Atom(value, _quad_product(start, [factors[(k + h) // 2][h > k] for h in ks if h != k]))
-        else:
-            for k, value, mass in zip(ks, values, reversed(binomials)):  # mass starts at [m-1 choose j]_{1/q}
-                for h in ks:
-                    if h != k:
-                        mass = mass * factors[(k + h) // 2][h > k]
-                atoms[k] = Atom(value, mass)
-
+        for k, value, mass in zip(ks, values, reversed(binomials)):  # mass starts at [m-1 choose j]_{1/q}
+            for h in ks:
+                if h != k:
+                    mass = mass * factors[(k + h) // 2][h > k]
+            atoms[k] = Atom(value, mass)
         return ConditionalDistribution(m=m, y=y, q=q, atoms=atoms)
 
     return kernel_at
@@ -498,7 +505,7 @@ def simulate(config: ChainConfig) -> Trajectory:
     """
     uniform = random.Random(config.seed).random
     lift = _lift_state(float(config.initial_y), float(config.q))  # as Trajectory reads the states
-    kernel_at = _lattice_kernels(config.m, lift)  # built here: drawn without check_masses
+    kernel_at = _lattice_kernels(config.m, lift)  # drawn without check_masses: its masses leave it finite
     tables: dict[int, tuple[list[float], list[int]]] = {}
     index, indices = 0, [0]
     for _ in range(config.steps):

@@ -406,6 +406,14 @@ def test_a_start_whose_z0_overflows_exits_three(capsys, argv):
     assert (code, out, err) == (3, "", f"error: {msg}\n")
 
 
+@pytest.mark.parametrize("argv", [["dist", "--mode", "float"], ["simulate", "--steps", "300"]])
+def test_a_float_q_pascal_row_past_the_double_range_exits_three(capsys, argv):
+    # refused before any kernel is built: simulate takes no step
+    code, out, err = run(capsys, *argv, "--m", "1051", "--y", "0", "--q", "1.0001")
+    msg = "q-Pascal row [m-1 choose j]_(1/q) leaves the double range at j = 507 (m=1051, q=1.0001)"
+    assert (code, out, err) == (3, "", f"error: {msg}\n")
+
+
 def test_a_closed_stdout_exits_141_without_a_traceback():
     # the kernel's 81 kB of JSON outlast one read and the pipe's buffer, so the writer meets the closed end
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -328,6 +328,12 @@ class TestBuildDistribution:
     def test_sqrt_q_is_formed_once_per_kernel(self, m, y, q):
         assert calls_of("scalar_sqrt", lambda: build_distribution(m, y, q)) == 1
 
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("y", [Y1, Fraction(0), Fraction(-3, 7)])
+    def test_exact_lane_inverts_z0_only_below_zero(self, m, y):
+        # two quotients per factor pair, e in 2-m..m-2, and 1/z0 only when y < 0: the exact lane never reads 1/z0
+        assert calls_of("_quotient", lambda: build_distribution(m, y, Q4)) == 2 * (2 * m - 3) + (y < 0)
+
     @pytest.mark.parametrize(
         "name, call",
         [
@@ -478,6 +484,20 @@ class TestMomentLaw:
                             checks += 1
                     assert all(p[m] == 0 for p in ps.values()), (q, y, m)
         assert checks == 1668
+
+    def test_mean_variance_and_third_central_moment_have_closed_forms(self):
+        # E[X|y] = rho y, Var(X|y) = 1 - rho^2 and E[(X - rho y)^3|y] = (q-1) rho (1 - rho^2) y, identically
+        cases = 0
+        for q in (Q4, Fraction(9, 4), Fraction(9)):
+            for y in (Y1, Fraction(-3, 7), Fraction(0), Fraction(5, 2)):
+                for m in range(2, 8):
+                    rho, dist = scalar_sqrt(q) ** (1 - m), build_distribution(m, y, q)
+                    assert dist.kernel_moment(lambda v: v) == rho * y, (q, y, m)
+                    assert dist.kernel_moment(lambda v: (v - rho * y) ** 2) == 1 - rho**2, (q, y, m)
+                    third = dist.kernel_moment(lambda v: (v - rho * y) ** 3)
+                    assert third == (q - 1) * rho * (1 - rho**2) * y, (q, y, m)
+                    cases += 1
+        assert cases == 72
 
     def test_float_rows_vanish_to_rounding(self):
         # the float lane's rho = sqrt(q)^{1-m} = 1/4 at q = 4, m = 3
@@ -1231,6 +1251,15 @@ class TestKernelValidity:
         assert 1e-12 < abs(total - 1) <= (20 + min(1 / math.log(q), (m - 1) ** 2 / (4 * m))) * m * 2**-53
         assert dist.check_masses() is dist
         assert sample_step(dist, random.Random(1)) in {atom.value for atom in dist.atoms.values()}
+
+    def test_a_float_q_pascal_row_past_the_double_range_is_refused(self):
+        # at q = 1.0001 the row [m-1 choose j]_{1/q} stays finite to m = 1050; at m = 1051 its entries from
+        # j = 507 overflow, and the kernel would carry infinite masses
+        built = build_distribution(1050, 0.0, 1.0001)
+        assert built.check_masses() is built
+        msg = "q-Pascal row [m-1 choose j]_(1/q) leaves the double range at j = 507 (m=1051, q=1.0001)"
+        with pytest.raises(DegenerateSupport, match=f"^{re.escape(msg)}$"):
+            build_distribution(1051, 0.0, 1.0001)
 
     def test_a_kernel_off_by_one_percent_near_q_one_is_refused(self):
         # at q = 1 + 2^-40 and m = 200 the uncapped (20 + 1/ln q) m 2^-53 is 0.024; capped, c m 2^-53 is 1.5e-12
