@@ -2,7 +2,7 @@
 rationals and the quadratic extension field Q(sqrt(D)).
 
 Rationals are :class:`fractions.Fraction`, or unreduced :class:`_Ratio` in
-spectra.verify_factorization on rational inputs.  Every quantity the exact
+spectra.verify_factorization's H and B tables.  Every quantity the exact
 pipeline produces (support points, masses, radicals) lives in one field
 Q(sqrt(D)), fixed per run by the initial state; :class:`QuadraticNumber` holds
 it as reduced integers (A + B*sqrt(N))/C, so a field operation is a few
@@ -218,9 +218,10 @@ def _on_ratio(op):
 
 
 class _Ratio:
-    """An unreduced rational n/d, d > 0: products multiply, sums and differences go over
-    lcm(d1, d2) by one gcd, == cross-multiplies and str() writes str(Fraction(n, d)).  Without
-    the lcm a three-term recurrence's denominators grow like Fibonacci numbers in bit length."""
+    """An unreduced rational n/d, d > 0, read by spectra.verify_factorization alone (its H and B tables and
+    witnesses): products multiply, sums and differences go over lcm(d1, d2) by one gcd, == cross-multiplies
+    and str() writes str(Fraction(n, d)).  Without the lcm a three-term recurrence's denominators grow like
+    Fibonacci numbers in bit length."""
 
     __slots__ = ("n", "d")
 

@@ -1,10 +1,10 @@
 """q-deformed combinatorial primitives and three-term-recurrence evaluation
 of four polynomial families, generic over the scalar backend.
 
-All evaluators are written once against plain arithmetic operators and
-work unchanged for float, complex, Fraction, QuadraticNumber, unreduced
-exactnum._Ratio and mpmath scalars.  The four families share one three-term
-driver, y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n),
+All evaluators are written once against plain arithmetic operators and work unchanged
+for float, complex, Fraction, QuadraticNumber, int (verify_factorization's p steps),
+exactnum._Ratio (its H and B tables) and mpmath scalars.  The four families share one
+three-term driver, y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n),
 which each builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
 
     H_n(x|q)        monic q-Hermite:      x H_n = H_{n+1} + [n]_q H_{n-1}

@@ -50,6 +50,7 @@ from .qcore import (
     _p_from_parts,
     _p_parts,
     _q_binomial_row,
+    _three_term,
     eval_B,
     eval_B_seq,
     eval_H,
@@ -360,9 +361,7 @@ def verify_factorization(
     y-free part once per call (b_i, the sum's weights, the factors' q-terms),
     caches H_k(x|q) per x and rho y q^i, B_k(y|q) per y in this call only, and
     reads no other route's values.  When q, rho and every coordinate is an int
-    or Fraction, all three routes run on exactnum._Ratio, free of Fraction's
-    gcds; its sums take the lcm of the denominators, without which the
-    recurrence's denominators grow like Fibonacci numbers in bit length."""
+    or Fraction, each route is one integer over a scale (_verify_on_integers)."""
     if m < 1:
         raise ValueError(f"verify_factorization needs degree m >= 1, got m = {m}")
     if q == 1:
@@ -372,30 +371,82 @@ def verify_factorization(
         axis = rational_grid(m + 2)  # (m+2)^2 > (m+1)^2 points
         sample_points = [(x, y) for x in axis for y in axis]
     sample_points = [tuple(point) for point in sample_points]  # the count below must not use up an iterator
-    if (distinct := len(set(sample_points))) <= (m + 1) ** 2:
+    coords = [c for point in sample_points for c in point]
+    if rational := all(type(c) in (int, Fraction) for c in coords):  # count on ints: a Fraction hash runs a pow
+        lattice = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in sample_points]
+    if (distinct := len(set(lattice if rational else sample_points))) <= (m + 1) ** 2:
         raise ValueError(f"need more than {(m + 1) ** 2} distinct sample points for degree {m}, got {distinct}")
-    exact = _is_exact(q, *(coords := [c for point in sample_points for c in point]))
+    exact = _is_exact(q, *coords)
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
     elif q <= 0:  # the float lane's _float_q refuses these too
         raise ValueError(f"needs q in (0,1) or (1,inf), got {q}")
+    sqrt_q = _normalize_q(sqrt_q) if exact else sqrt_q  # an exact lane int's negative power would be a float
     rho = (scalar_sqrt(q) if sqrt_q is None else sqrt_q) ** (-(m - 1))
     report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact" if exact else "float"})
-    lift = _Ratio.lift if exact and all(type(v) in (int, Fraction) for v in (q, rho, *coords)) else lambda v: v
-    weights, terms = _expansion_weights(m, lift(scalar_sqrt(q) ** (-(m - 1))), lift(q)), _product_terms(m, q)
-    terms, rho, q = [None if t is None else tuple(map(lift, t)) for t in terms], lift(rho), lift(q)
+    if rational and type(q) is Fraction and type(rho) in (int, Fraction):
+        _verify_on_integers(report, m, q, rho, sample_points, lattice)
+        return report
+    weights, terms = _expansion_weights(m, scalar_sqrt(q) ** (-(m - 1)), q), _product_terms(m, q)
     b, shifts_of = _p_parts(m, rho, q)
-    b, shifts = list(b), functools.cache(lambda y: list(shifts_of(lift(y))))
-    B_of, H_of = functools.cache(lambda y: eval_B_seq(m, lift(y), q)), functools.cache(lambda x: eval_H_seq(m, lift(x), q))
+    b, shifts = list(b), functools.cache(lambda y: list(shifts_of(y)))
+    B_of, H_of = functools.cache(lambda y: eval_B_seq(m, y, q)), functools.cache(lambda x: eval_H_seq(m, x, q))
     for x, y in sample_points:
-        X, Y = lift(x), lift(y)
-        recur = _p_from_parts(X, shifts(y), b, x=X, y=Y, rho=rho, q=q)[m]
+        recur = _p_from_parts(x, shifts(y), b, x=x, y=y, rho=rho, q=q)[m]
         summed = _expansion(weights, B_of(y), H_of(x))
-        product = _product(X, -Y, terms)
+        product = _product(x, -y, terms)
         witness = {"x": x, "y": y, "recurrence": recur, "sum_form": summed, "product_form": product}
         _check(report, exact, [(recur, summed), (recur, product)], rel_tol, witness)
     return report
+
+
+def _over_lcm(pairs: list) -> tuple[list, int]:
+    """Rationals n/d, given as pairs (n, d) with d > 0, as integers over the lcm D of their reduced denominators."""
+    D = math.lcm(*(d // math.gcd(n, d) for n, d in pairs))
+    return [n * D // d for n, d in pairs], D
+
+
+def _integer_table(seqs: dict) -> tuple:
+    """Sequences 1, r_1..r_m of _Ratios, one per coordinate n/d keyed (n, d), over L^k D_k for any multiple L of d:
+    the integers r_k L^k D_k as a cached function of (n, d) and t = L/d, and the lcm D_k of the r_k d^k."""
+    cleared = ([(1, 1)] + [(r.n * d**k, r.d) for k, r in enumerate(seq[1:], 1)] for (_, d), seq in seqs.items())
+    columns = [_over_lcm(column) for column in zip(*cleared)]
+    rows = dict(zip(seqs, zip(*(ints for ints, _ in columns))))
+    return functools.cache(lambda key, t: [v * t**k for k, v in enumerate(rows[key])]), [D for _, D in columns]
+
+
+def _verify_on_integers(report, m: int, q: Fraction, rho, points: list, lattice: list) -> None:
+    """verify_factorization's routes at x = X0/dx, y = Y0/dy (lattice[i] = (X0, dx, Y0, dy)), each one integer over L^m
+    times a scale fixed for the call, L = lcm(dx, dy), X = x L, Y = y L: the recurrence's p_i = P_i/(E_i L^i) with
+    E_{i+1} = lcm(den(c_i) E_i, den(b_i) E_{i-1}), c_i = rho q^i; H_k(x), B_k(y) once per distinct coordinate (on
+    exactnum._Ratio) through _integer_table; each v-factor k (X^2 + Y^2) + ck XY + dk L^2 over k L^2.  L^m cancels
+    from the verdict, which compares cross-products; a witness writes each route as a _Ratio."""
+    b, shifts_of = _p_parts(m, rho, q)
+    steps, E_prev, E = [], 1, 1
+    for c, b_i in zip(shifts_of(1), b):  # P_{i+1} = (E_{i+1}/E_i) (X - c_i Y) P_i - (E_{i+1}/E_{i-1}) b_i L^2 P_{i-1}
+        E_next = math.lcm(c.denominator * E, b_i.denominator * E_prev)
+        a = E_next // E
+        steps.append((a, c.numerator * (a // c.denominator), b_i.numerator * (E_next // E_prev // b_i.denominator)))
+        E_prev, E = E, E_next
+    H_at, H_scales = _integer_table({x: eval_H_seq(m, _Ratio(*x), _Ratio.lift(q)) for x in {p[:2] for p in lattice}})
+    B_at, B_scales = _integer_table({y: eval_B_seq(m, _Ratio(*y), _Ratio.lift(q)) for y in {p[2:] for p in lattice}})
+    weights = enumerate(_expansion_weights(m, scalar_sqrt(q) ** (-(m - 1)), q))
+    weights, sum_scale = _over_lcm([(w.numerator, w.denominator * B_scales[j] * H_scales[m - j]) for j, w in weights])
+    terms = _product_terms(m, q)  # None for x - y, else (c, d) of x^2 + y^2 - xy c + d, which k clears
+    factors = [t and _over_lcm([(v.numerator, v.denominator) for v in (1, -t[0], t[1])])[0] for t in terms]
+    scales = (E, sum_scale, math.prod(1 if f is None else f[0] for f in factors))
+    for (x, y), (X0, dx, Y0, dy) in zip(points, lattice):
+        L = math.lcm(dx, dy)
+        X, Y, L2 = X0 * (L // dx), Y0 * (L // dy), L * L
+        recur = _three_term("p", ((a * X - c * Y, g * L2) for a, c, g in steps))[m]
+        summed = _expansion(weights, B_at((Y0, dy), L // dy), H_at((X0, dx), L // dx))
+        squares, xy = X * X + Y * Y, X * Y
+        product = math.prod(X - Y if f is None else f[0] * squares + f[1] * xy + f[2] * L2 for f in factors)
+        report.points_checked += 1
+        if not recur * scales[1] == summed * scales[0] or not recur * scales[2] == product * scales[0]:
+            routes = zip(("recurrence", "sum_form", "product_form"), (recur, summed, product), scales)
+            raise _fail(report, {"x": x, "y": y, **{name: _Ratio(v, s * L**m) for name, v, s in routes}})
 
 
 def verify_addition_formula(

@@ -1,5 +1,6 @@
-"""The exact lane of verify_factorization on unreduced ratios: the same values,
-the same report text and bounded denominators."""
+"""The exact lane of verify_factorization on rational inputs: the same values,
+the same report text and bounded denominators, whether on unreduced ratios or
+on integers over one scale per route."""
 
 import cProfile
 import pstats
@@ -12,6 +13,7 @@ from qchain import qcore
 from qchain.exactnum import QuadraticNumber, _Ratio, rational_sqrt
 from qchain.spectra import (
     VerificationFailed,
+    VerificationReport,
     _product,
     _product_terms,
     eval_product_form,
@@ -108,3 +110,72 @@ def test_only_rational_inputs_lift():
     assert ratio_sums(3, Fraction(4), sample_points=grid, sqrt_q=QuadraticNumber(0, 1, 4)) == 0
     assert ratio_sums(3, 2.25, sample_points=grid) == 0
     assert ratio_sums(3, Fraction(9, 4), sample_points=[(float(x), y) for x, y in grid]) == 0
+
+
+REPORT_QS = (Fraction(4), Fraction(9, 4), Fraction(16), Fraction(1, 4), Fraction(4, 9))
+
+
+def fraction_report(m, q, points, sqrt_q):
+    """The exact report verify_factorization gives, built point by point from the public Fraction evaluators."""
+    report = VerificationReport("factorization", {"m": m, "q": str(q), "mode": "exact"})
+    for x, y in points:
+        report.points_checked += 1
+        routes = fraction_routes(m, x, y, q, Fraction(sqrt_q))
+        if not routes[0] == routes[1] == routes[2]:
+            report.passed = False
+            names = ("x", "y", "recurrence", "sum_form", "product_form")
+            report.witness = {name: str(v) for name, v in zip(names, (x, y, *routes))}
+            break
+    return report
+
+
+def mixed_points(rng, count, kind):
+    """`count` distinct seeded points whose coordinates are ints, ints and Fractions, or 12-digit Fractions."""
+    draw = {
+        "int": lambda: rng.randint(-30, 30),
+        "mixed": lambda: rng.choice((rng.randint(-30, 30), Fraction(rng.randint(-40, 40), rng.randint(1, 12)))),
+        "digits": lambda: Fraction(rng.randint(-10**12, 10**12), rng.randint(10**11, 10**12)),
+    }[kind]
+    points = {}
+    while len(points) < count:
+        points.setdefault((draw(), draw()))
+    return list(points)
+
+
+def report_or_failure(*args, **kwargs):
+    try:
+        return verify_factorization(*args, **kwargs)
+    except VerificationFailed as exc:
+        return exc.report
+
+
+@pytest.mark.parametrize("q", REPORT_QS, ids=str)
+def test_each_exact_report_is_the_one_the_fraction_evaluators_give(q):
+    # int points (one common denominator), mixed int/Fraction points and 12-digit denominators, each checked in
+    # full, and a wrong sqrt_q, as a Fraction and as an int, whose witness must print the Fraction route values
+    rng, sq = random.Random(3701), rational_sqrt(q)
+    for m in range(1, 15):
+        points = mixed_points(rng, (m + 1) ** 2 + 1, ("digits", "int", "mixed")[m % 3])
+        assert verify_factorization(m, q, sample_points=points).to_json() == fraction_report(m, q, points, sq).to_json()
+        for plant in (sq * 3, 3):
+            report = report_or_failure(m, q, sample_points=points, sqrt_q=plant)
+            assert report.passed == (m == 1) and report.to_json() == fraction_report(m, q, points, plant).to_json()
+
+
+def test_an_int_sqrt_q_stays_exact():
+    # 3 ** -(m-1) is a float: it put a float rho into the exact recurrence, which failed at the first point
+    assert verify_factorization(4, Fraction(9), sqrt_q=3).passed
+    assert verify_factorization(4, 16, sqrt_q=4).passed
+    with pytest.raises(VerificationFailed) as exc:
+        verify_factorization(4, Fraction(9), sqrt_q=2)
+    assert exc.value.report.witness["recurrence"] == "-8195789/4096" != exc.value.report.witness["sum_form"]
+
+
+def test_equal_values_of_either_type_count_as_one_point():
+    # the count runs on (numerator, denominator) pairs: -1 and Fraction(-2, 2) are one coordinate
+    axis = [Fraction(i, 2) for i in range(-3, 1)]
+    grid = [(x, y) for x in axis for y in axis]
+    as_ints = [(int(x) if x.denominator == 1 else x, y) for x, y in grid]
+    with pytest.raises(ValueError, match=r"^need more than 16 distinct sample points for degree 3, got 16$"):
+        verify_factorization(3, Fraction(4), sample_points=grid + as_ints)
+    assert verify_factorization(3, 4, sample_points=grid + as_ints + [(7, 7)]).points_checked == 33
