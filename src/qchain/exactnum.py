@@ -1,8 +1,8 @@
 """Exact scalar backends on the standard library alone: arbitrary-precision
 rationals and the quadratic extension field Q(sqrt(D)).
 
-Rationals are :class:`fractions.Fraction`, or unreduced :class:`_Ratio` in
-spectra.verify_factorization's H and B tables.  Every quantity the exact
+Rationals are :class:`fractions.Fraction` (spectra.verify_factorization
+clears their denominators and runs on plain ints).  Every quantity the exact
 pipeline produces (support points, masses, radicals) lives in one field
 Q(sqrt(D)), fixed per run by the initial state; :class:`QuadraticNumber` holds
 it as reduced integers (A + B*sqrt(N))/C, so a field operation is a few
@@ -204,42 +204,6 @@ def _quad_product(start, factors: list) -> QuadraticNumber:
     for f in factors:
         A, B, C = A * f._A + B * f._B * F[0], A * f._B + B * f._A, C * f._C
     return QuadraticNumber(A, B, (C, F))
-
-
-def _on_ratio(op):
-    """A binary _Ratio method: op(n1, d1, n2, d2) on self and an int, Fraction or _Ratio, else NotImplemented."""
-
-    def method(self, other):
-        if type(other) is not _Ratio and isinstance(other, (int, Fraction)):
-            other = _Ratio.lift(other)
-        return op(self.n, self.d, other.n, other.d) if type(other) is _Ratio else NotImplemented
-
-    return method
-
-
-class _Ratio:
-    """An unreduced rational n/d, d > 0, read by spectra.verify_factorization alone (its H and B tables and
-    witnesses): products multiply, sums and differences go over lcm(d1, d2) by one gcd, == cross-multiplies
-    and str() writes str(Fraction(n, d)).  Without the lcm a three-term recurrence's denominators grow like
-    Fibonacci numbers in bit length."""
-
-    __slots__ = ("n", "d")
-
-    def __init__(self, n: int, d: int):
-        self.n, self.d = n, d
-
-    def _sum(n1: int, d1: int, n2: int, d2: int) -> "_Ratio":  # a plain function: the op of + and -
-        g = math.gcd(d1, d2)
-        return _Ratio(n1 * (d2 // g) + n2 * (d1 // g), d1 // g * d2)
-
-    __add__ = __radd__ = _on_ratio(_sum)
-    __sub__ = _on_ratio(lambda n1, d1, n2, d2: _Ratio._sum(n1, d1, -n2, d2))
-    __rsub__ = _on_ratio(lambda n1, d1, n2, d2: _Ratio._sum(n2, d2, -n1, d1))
-    __mul__ = __rmul__ = _on_ratio(lambda n1, d1, n2, d2: _Ratio(n1 * n2, d1 * d2))
-    __eq__ = _on_ratio(lambda n1, d1, n2, d2: n1 * d2 == n2 * d1)
-    __neg__ = lambda self: _Ratio(-self.n, self.d)
-    __str__ = lambda self: _ratio_text(self.n, self.d)
-    lift = staticmethod(lambda v: _Ratio(v.numerator, v.denominator))
 
 
 def _ratio_text(n: int, d: int) -> str:

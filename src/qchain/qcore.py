@@ -2,8 +2,8 @@
 of four polynomial families, generic over the scalar backend.
 
 All evaluators are written once against plain arithmetic operators and work unchanged
-for float, complex, Fraction, QuadraticNumber, int (verify_factorization's p steps),
-exactnum._Ratio (its H and B tables) and mpmath scalars.  The four families share one
+for float, complex, Fraction, QuadraticNumber, int (verify_factorization runs its p, H and
+B steps on _three_term in ints) and mpmath scalars.  The four families share one
 three-term driver, y_{n+1} = a_n y_n - b_n y_{n-1}, and differ only in (a_n, b_n),
 which each builds from one table of q^{n-1}, q^n and [n]_q (_q_table):
 

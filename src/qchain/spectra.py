@@ -40,7 +40,6 @@ from .exactnum import (
     QuadraticNumber,
     _integer_combination,
     _is_exact,
-    _Ratio,
     quad_sqrt,
     scalar_sqrt,
 )
@@ -50,6 +49,7 @@ from .qcore import (
     _p_from_parts,
     _p_parts,
     _q_binomial_row,
+    _q_table,
     _three_term,
     eval_B,
     eval_B_seq,
@@ -357,11 +357,13 @@ def verify_factorization(
     lanes.  The default grid is rational; in the float lane q and every point
     must be finite.  A given sqrt_q sets only the recurrence route's
     rho = sqrt_q^{-(m-1)}; the other routes form sqrt(q) from q, so a sqrt_q
-    inconsistent with q shows as a counterexample.  Each route forms its x- and
-    y-free part once per call (b_i, the sum's weights, the factors' q-terms),
-    caches H_k(x|q) per x and rho y q^i, B_k(y|q) per y in this call only, and
-    reads no other route's values.  When q, rho and every coordinate is an int
-    or Fraction, each route is one integer over a scale (_verify_on_integers)."""
+    inconsistent with q shows as a counterexample; a float sqrt_q puts the call
+    in the float lane.  Each route forms its x- and y-free part once per call
+    (b_i, the sum's weights, the factors' q-terms), caches H_k(x|q) per x and
+    rho y q^i, B_k(y|q) per y in this call only, and reads no other route's
+    values.  When q, rho and every coordinate is an int or Fraction, each route
+    is one integer over a scale, and p, H and B run as one integer recurrence
+    (_verify_on_integers)."""
     if m < 1:
         raise ValueError(f"verify_factorization needs degree m >= 1, got m = {m}")
     if q == 1:
@@ -376,7 +378,7 @@ def verify_factorization(
         lattice = [(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in sample_points]
     if (distinct := len(set(lattice if rational else sample_points))) <= (m + 1) ** 2:
         raise ValueError(f"need more than {(m + 1) ** 2} distinct sample points for degree {m}, got {distinct}")
-    exact = _is_exact(q, *coords)
+    exact = _is_exact(q, *coords) and (sqrt_q is None or _is_exact(sqrt_q))
     if not exact:
         sample_points = [(float(x), float(y)) for x, y in sample_points]
         q = _float_q(q, **{f"{name} of sample point {p}": c for p in sample_points for name, c in zip("xy", p)})
@@ -407,46 +409,55 @@ def _over_lcm(pairs: list) -> tuple[list, int]:
     return [n * D // d for n, d in pairs], D
 
 
-def _integer_table(seqs: dict) -> tuple:
-    """Sequences 1, r_1..r_m of _Ratios, one per coordinate n/d keyed (n, d), over L^k D_k for any multiple L of d:
-    the integers r_k L^k D_k as a cached function of (n, d) and t = L/d, and the lcm D_k of the r_k d^k."""
-    cleared = ([(1, 1)] + [(r.n * d**k, r.d) for k, r in enumerate(seq[1:], 1)] for (_, d), seq in seqs.items())
-    columns = [_over_lcm(column) for column in zip(*cleared)]
-    rows = dict(zip(seqs, zip(*(ints for ints, _ in columns))))
-    return functools.cache(lambda key, t: [v * t**k for k, v in enumerate(rows[key])]), [D for _, D in columns]
+def _integer_recurrence(family: str, c, b) -> tuple:
+    """y_{i+1} = (x - c_i y) y_i - b_i y_{i-1} for rationals c_i, b_i on integers: run(X, Y, L) gives Y_0 .. Y_n,
+    Y_i = y_i E_i L^i at x = X/L, y = Y/L, by Y_{i+1} = (a_i X - c'_i Y) Y_i - g_i L^2 Y_{i-1} with integer a_i, c'_i,
+    g_i.  Returns run and the scales E_0 = 1, .., E_n, E_{i+1} = lcm(den(c_i) E_i, den(b_i) E_{i-1}), E_{-1} = 1."""
+    steps, E = [], [1, 1]
+    for c_i, b_i in zip(c, b):
+        E_next = math.lcm(c_i.denominator * E[-1], b_i.denominator * E[-2])
+        a = E_next // E[-1]
+        steps.append((a, c_i.numerator * (a // c_i.denominator), b_i.numerator * (E_next // E[-2] // b_i.denominator)))
+        E.append(E_next)
+    return lambda X, Y, L: _three_term(family, ((a * X - c * Y, g * L * L) for a, c, g in steps)), E[1:]
+
+
+def _integer_recurrences(m: int, rho, q: Fraction) -> list:
+    """_integer_recurrence of p (c_i = rho q^i, b_i = (1 - rho^2 q^{i-1}) [i]_q), H (c_i = 0, b_i = [i]_q, run at
+    y = 0) and B (c_i = q^i, b_i = -q^{i-1} [i]_q, run at x = 0): the coefficients of qcore's eval_*_seq."""
+    (b, shifts_of), table = _p_parts(m, rho, q), _q_table(m, q)
+    return [
+        _integer_recurrence("p", shifts_of(1), b),
+        _integer_recurrence("H", [0] * m, [bracket for _, _, bracket in table]),
+        _integer_recurrence("B", [power for _, power, _ in table], [-(prev * bracket) for prev, _, bracket in table]),
+    ]
 
 
 def _verify_on_integers(report, m: int, q: Fraction, rho, points: list, lattice: list) -> None:
     """verify_factorization's routes at x = X0/dx, y = Y0/dy (lattice[i] = (X0, dx, Y0, dy)), each one integer over L^m
-    times a scale fixed for the call, L = lcm(dx, dy), X = x L, Y = y L: the recurrence's p_i = P_i/(E_i L^i) with
-    E_{i+1} = lcm(den(c_i) E_i, den(b_i) E_{i-1}), c_i = rho q^i; H_k(x), B_k(y) once per distinct coordinate (on
-    exactnum._Ratio) through _integer_table; each v-factor k (X^2 + Y^2) + ck XY + dk L^2 over k L^2.  L^m cancels
-    from the verdict, which compares cross-products; a witness writes each route as a _Ratio."""
-    b, shifts_of = _p_parts(m, rho, q)
-    steps, E_prev, E = [], 1, 1
-    for c, b_i in zip(shifts_of(1), b):  # P_{i+1} = (E_{i+1}/E_i) (X - c_i Y) P_i - (E_{i+1}/E_{i-1}) b_i L^2 P_{i-1}
-        E_next = math.lcm(c.denominator * E, b_i.denominator * E_prev)
-        a = E_next // E
-        steps.append((a, c.numerator * (a // c.denominator), b_i.numerator * (E_next // E_prev // b_i.denominator)))
-        E_prev, E = E, E_next
-    H_at, H_scales = _integer_table({x: eval_H_seq(m, _Ratio(*x), _Ratio.lift(q)) for x in {p[:2] for p in lattice}})
-    B_at, B_scales = _integer_table({y: eval_B_seq(m, _Ratio(*y), _Ratio.lift(q)) for y in {p[2:] for p in lattice}})
+    times a scale fixed for the call, L = lcm(dx, dy), X = x L, Y = y L.  By _integer_recurrences: p_m = P_m/(E_m L^m),
+    and H_k(x), B_k(y) once per distinct coordinate at L = dx or dy, times (L/dx)^k or (L/dy)^k per point, so the sum's
+    scale is lcm_j den(w_j) E^B_j E^H_{m-j}.  Each v-factor is k (X^2 + Y^2) + ck XY + dk L^2 over k L^2.  The verdict
+    compares cross-products, where L^m cancels; a witness writes each route as a Fraction."""
+    (p, E), (H, H_E), (B, B_E) = _integer_recurrences(m, rho, q)
+    H_at, B_at = functools.cache(lambda X0, d: H(X0, 0, d)), functools.cache(lambda Y0, d: B(0, Y0, d))
+    scaled = functools.cache(lambda table, n, d, t: [v * t**k for k, v in enumerate(table(n, d))])
     weights = enumerate(_expansion_weights(m, scalar_sqrt(q) ** (-(m - 1)), q))
-    weights, sum_scale = _over_lcm([(w.numerator, w.denominator * B_scales[j] * H_scales[m - j]) for j, w in weights])
+    weights, sum_scale = _over_lcm([(w.numerator, w.denominator * B_E[j] * H_E[m - j]) for j, w in weights])
     terms = _product_terms(m, q)  # None for x - y, else (c, d) of x^2 + y^2 - xy c + d, which k clears
     factors = [t and _over_lcm([(v.numerator, v.denominator) for v in (1, -t[0], t[1])])[0] for t in terms]
-    scales = (E, sum_scale, math.prod(1 if f is None else f[0] for f in factors))
+    scales = (E[m], sum_scale, math.prod(1 if f is None else f[0] for f in factors))
     for (x, y), (X0, dx, Y0, dy) in zip(points, lattice):
         L = math.lcm(dx, dy)
         X, Y, L2 = X0 * (L // dx), Y0 * (L // dy), L * L
-        recur = _three_term("p", ((a * X - c * Y, g * L2) for a, c, g in steps))[m]
-        summed = _expansion(weights, B_at((Y0, dy), L // dy), H_at((X0, dx), L // dx))
+        recur = p(X, Y, L)[m]
+        summed = _expansion(weights, scaled(B_at, Y0, dy, L // dy), scaled(H_at, X0, dx, L // dx))
         squares, xy = X * X + Y * Y, X * Y
         product = math.prod(X - Y if f is None else f[0] * squares + f[1] * xy + f[2] * L2 for f in factors)
         report.points_checked += 1
         if not recur * scales[1] == summed * scales[0] or not recur * scales[2] == product * scales[0]:
             routes = zip(("recurrence", "sum_form", "product_form"), (recur, summed, product), scales)
-            raise _fail(report, {"x": x, "y": y, **{name: _Ratio(v, s * L**m) for name, v, s in routes}})
+            raise _fail(report, {"x": x, "y": y, **{name: Fraction(v, s * L**m) for name, v, s in routes}})
 
 
 def verify_addition_formula(

@@ -1,6 +1,6 @@
 """The exact lane of verify_factorization on rational inputs: the same values,
-the same report text and bounded denominators, whether on unreduced ratios or
-on integers over one scale per route."""
+the same report text and bounded denominators, on integers over one scale per
+route, with the recurrence, the H table and the B table one integer recurrence."""
 
 import cProfile
 import pstats
@@ -10,19 +10,18 @@ from fractions import Fraction
 import pytest
 
 from qchain import qcore
-from qchain.exactnum import QuadraticNumber, _Ratio, rational_sqrt
+from qchain.exactnum import QuadraticNumber, rational_sqrt
 from qchain.spectra import (
     VerificationFailed,
     VerificationReport,
-    _product,
-    _product_terms,
+    _integer_recurrences,
     eval_product_form,
     eval_sum_form,
     verify_factorization,
 )
 
 QS = (Fraction(4), Fraction(9, 4), Fraction(16))
-lift = _Ratio.lift
+REPORT_QS = (Fraction(4), Fraction(9, 4), Fraction(16), Fraction(1, 4), Fraction(4, 9))
 
 
 def seeded_points(rng, count):
@@ -34,33 +33,31 @@ def seeded_points(rng, count):
     return list(points)
 
 
-def lifted_routes(m, x, y, q, sqrt_q):
-    """Recurrence (rho from sqrt_q), connection sum and v-factor product at one point, every
-    scalar a _Ratio, through the generic evaluators the verifier runs."""
-    X, Y, Q = lift(x), lift(y), lift(q)
-    terms = [None if t is None else tuple(map(lift, t)) for t in _product_terms(m, q)]
-    return (
-        qcore.eval_p(m, X, Y, lift(sqrt_q ** (-(m - 1))), Q),
-        qcore.eval_p_expansion(m, X, Y, lift(rational_sqrt(q) ** (-(m - 1))), Q),
-        _product(X, -Y, terms),
-    )
-
-
 def fraction_routes(m, x, y, q, sqrt_q):
-    """The same three values from the public Fraction evaluators."""
+    """Recurrence (rho from sqrt_q), connection sum and v-factor product at one point, from the public
+    Fraction evaluators."""
     return qcore.eval_p(m, x, y, sqrt_q ** (-(m - 1)), q), eval_sum_form(m, x, y, q), eval_product_form(m, x, y, q)
 
 
-@pytest.mark.parametrize("q", QS, ids=str)
-def test_each_lifted_route_is_its_fraction_route(q):
-    rng, sq = random.Random(2601), rational_sqrt(q)
-    for m in range(1, 13):
-        points = seeded_points(rng, (m + 1) ** 2 + 1)
-        assert verify_factorization(m, q, sample_points=points).points_checked == len(points)
-        for x, y in points[:6]:
-            lifted, fractions = lifted_routes(m, x, y, q, sq), fraction_routes(m, x, y, q, sq)
-            assert all(type(v) is _Ratio for v in lifted), (m, x, y)
-            assert lifted == fractions and [str(v) for v in lifted] == [str(v) for v in fractions], (m, x, y)
+@pytest.mark.parametrize("q", REPORT_QS, ids=str)
+def test_each_integer_table_is_its_fraction_sequence(q):
+    # every degree 0..m of the integer p, H and B recurrences at x = X/L, y = Y/L, over E_k L^k, is the Fraction
+    # evaluator's value, for the true rho and a planted one, at one, few-digit and 12-digit denominators L
+    rng, sq = random.Random(3801), rational_sqrt(q)
+    for m in range(1, 15):
+        for rho in (sq ** (-(m - 1)), (3 * sq) ** (-(m - 1))):
+            (p, p_E), (H, H_E), (B, B_E) = _integer_recurrences(m, rho, q)
+            for L in (1, rng.randint(2, 12), rng.randint(10**11, 10**12)):
+                X, Y = rng.randint(-40 * L, 40 * L), rng.randint(-40 * L, 40 * L)
+                x, y = Fraction(X, L), Fraction(Y, L)
+                tables = (
+                    (p(X, Y, L), p_E, qcore.eval_p_seq(m, x, y, rho, q)),
+                    (H(X, 0, L), H_E, qcore.eval_H_seq(m, x, q)),
+                    (B(0, Y, L), B_E, qcore.eval_B_seq(m, y, q)),
+                )
+                for ints, E, fractions in tables:
+                    assert all(type(v) is int for v in ints + E) and len(ints) == len(E) == m + 1
+                    assert [Fraction(v, e * L**k) for k, (v, e) in enumerate(zip(ints, E))] == fractions, (m, x, y)
 
 
 @pytest.mark.parametrize("q", QS, ids=str)
@@ -81,38 +78,36 @@ def test_a_failing_witness_prints_the_fraction_values(q):
         assert report.parameters == {"m": m, "q": str(q), "mode": "exact"}
 
 
-def test_sums_over_the_lcm_bound_the_recurrence_denominator():
-    # cross-multiplied sums would double the bit length about every two degrees
-    m, q, x, y = 24, Fraction(9, 4), Fraction(-137, 23), Fraction(5, 11)
-    rho = Fraction(2, 3) ** (m - 1)
-    lifted = qcore.eval_p(m, lift(x), lift(y), lift(rho), lift(q))
-    reduced = qcore.eval_p(m, x, y, rho, q)
-    assert lifted == reduced and str(lifted) == str(reduced)
-    assert lifted.d.bit_length() <= 3 * reduced.denominator.bit_length()
-
-
-def ratio_sums(*args, **kwargs):
-    """How many _Ratio sums one verify_factorization call makes."""
+def integer_lane_calls(*args, **kwargs):
+    """How many times one verify_factorization call runs its integer lane."""
     profile = cProfile.Profile()
     profile.runcall(verify_factorization, *args, **kwargs)
     stats = pstats.Stats(profile).stats.items()
-    return sum(stat[1] for (path, _, name), stat in stats if path.endswith("exactnum.py") and name == "_sum")
+    return sum(
+        stat[1] for (path, _, name), stat in stats if path.endswith("spectra.py") and name == "_verify_on_integers"
+    )
 
 
 def test_only_rational_inputs_lift():
     axis = [Fraction(i, 3) for i in range(-3, 3)]
     grid = [(x, y) for x in axis for y in axis]
-    assert ratio_sums(3, Fraction(9, 4), sample_points=grid) > 0
-    assert ratio_sums(3, 4, sample_points=[(int(3 * x), int(3 * y)) for x, y in grid]) > 0
-    assert ratio_sums(3, Fraction(4), sample_points=grid, sqrt_q=Fraction(2)) > 0
+    assert integer_lane_calls(3, Fraction(9, 4), sample_points=grid) == 1
+    assert integer_lane_calls(3, 4, sample_points=[(int(3 * x), int(3 * y)) for x, y in grid]) == 1
+    assert integer_lane_calls(3, Fraction(4), sample_points=grid, sqrt_q=Fraction(2)) == 1
     quadratic = [(QuadraticNumber(x, 1, 2), y) for x, y in grid]
-    assert ratio_sums(3, Fraction(9, 4), sample_points=quadratic) == 0
-    assert ratio_sums(3, Fraction(4), sample_points=grid, sqrt_q=QuadraticNumber(0, 1, 4)) == 0
-    assert ratio_sums(3, 2.25, sample_points=grid) == 0
-    assert ratio_sums(3, Fraction(9, 4), sample_points=[(float(x), y) for x, y in grid]) == 0
+    assert integer_lane_calls(3, Fraction(9, 4), sample_points=quadratic) == 0
+    assert integer_lane_calls(3, Fraction(4), sample_points=grid, sqrt_q=QuadraticNumber(0, 1, 4)) == 0
+    assert integer_lane_calls(3, 2.25, sample_points=grid) == 0
+    assert integer_lane_calls(3, Fraction(9, 4), sample_points=[(float(x), y) for x, y in grid]) == 0
 
 
-REPORT_QS = (Fraction(4), Fraction(9, 4), Fraction(16), Fraction(1, 4), Fraction(4, 9))
+def test_a_float_sqrt_q_puts_the_call_in_the_float_lane():
+    # 2.0 is sqrt(4) exactly, but its float rho was once held exactly to the Fraction sums, and failed at (-2, -2)
+    report = verify_factorization(12, Fraction(4), sqrt_q=2.0)
+    assert report.passed and report.parameters["mode"] == "float" and 0 < report.max_residual < 1e-12
+    with pytest.raises(VerificationFailed) as exc:
+        verify_factorization(12, Fraction(4), sqrt_q=1.5)
+    assert exc.value.report.parameters["mode"] == "float" and exc.value.report.witness["residual"] > 1e-8
 
 
 def fraction_report(m, q, points, sqrt_q):

@@ -1,6 +1,7 @@
 """Index sets, the chi root family, factor families, and the identity
 verifiers."""
 
+import collections
 import cProfile
 import hashlib
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qchain import spectra
 from qchain.exactnum import NotAPerfectSquare, QuadraticNumber
 from qchain.markov import build_distribution, verify_chapman_kolmogorov
 from qchain.qcore import eval_h_seq, eval_p, q_binomial
@@ -300,18 +302,36 @@ class TestFactorizationForms:
         report = verify_factorization(2, Fraction(9, 4), sample_points=[(x, y) for x in axis for y in axis])
         assert report.passed and report.points_checked == 16 and report.parameters["mode"] == "exact"
 
-    def test_verify_forms_point_free_work_once_per_call(self):
-        # a 10x10 grid has 10 distinct x and 10 distinct y: one H sequence per
-        # x, one B sequence per y, one q-Pascal row and one sqrt(q) per route
+    def test_verify_forms_point_free_work_once_per_call(self, monkeypatch):
+        # a 10x10 grid has 10 distinct x and 10 distinct y: one H table per
+        # x, one B table per y, one q-Pascal row and one sqrt(q) per route
         axis = rational_grid(10)
         grid = [(x, y) for x in axis for y in axis]
+        runs, three_term = collections.Counter(), spectra._three_term
+
+        def counted(family, *args, **inputs):
+            runs[family] += 1
+            return three_term(family, *args, **inputs)
+
+        monkeypatch.setattr(spectra, "_three_term", counted)
         profile = cProfile.Profile()
         profile.runcall(verify_factorization, 5, Fraction(4), sample_points=grid)
         calls = {}
         for (_, _, name), stat in pstats.Stats(profile).stats.items():
             calls[name] = calls.get(name, 0) + stat[1]
-        assert [calls.get(name, 0) for name in ("eval_H_seq", "eval_B_seq", "_q_binomial_row")] == [10, 10, 1]
+        assert runs == {"p": 100, "H": 10, "B": 10} and calls["_q_binomial_row"] == 1
         assert calls["scalar_sqrt"] <= 3
+
+    def test_scattered_points_are_only_checked(self):
+        # a wrong sqrt_q (3 for q = 4) agrees with the sum at each point of its zero curve x = 2y/3 + 1/(6y):
+        # ten points of it pass, while the default grid, a product set, refuses the plant
+        curve = [(Fraction(2 * y, 3) + Fraction(1, 6 * y), Fraction(y)) for y in range(1, 11)]
+        report = verify_factorization(2, Fraction(4), sample_points=curve, sqrt_q=Fraction(3))
+        assert report.passed and report.points_checked == 10 and report.max_residual == 0
+        with pytest.raises(VerificationFailed) as exc:
+            verify_factorization(2, Fraction(4), sqrt_q=Fraction(3))
+        witness = exc.value.report.witness
+        assert [witness[key] for key in ("x", "y", "recurrence", "sum_form")] == ["-2", "-2", "-16/9", "-11/4"]
 
 
 class TestRootCompleteness:
